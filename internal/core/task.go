@@ -646,11 +646,15 @@ func (t *Task) loadCommittedRecording(p *locktable.Pair, a tm.Addr, firstPast *l
 		if p.R.Load() != v1 {
 			continue
 		}
-		if v1 > t.validTS && !t.extendTo(v1) {
-			t.noteConflict(a)
-			t.rollbackTask(restartExtend)
-		}
 		if v1 > t.validTS {
+			if !t.extendTo(v1) {
+				t.noteConflict(a)
+				t.rollbackTask(restartExtend)
+			}
+			// Re-read: val predates the extension's clock sample, and a
+			// commit between the two can overwrite this word (not yet in
+			// the log, so not revalidated) with a stamp the extended
+			// snapshot covers.
 			continue
 		}
 		t.readLog.Append(p, v1, firstPast)

@@ -911,12 +911,16 @@ func (tx *Tx) loadCommitted(p *locktable.Pair, a tm.Addr) uint64 {
 		if p.R.Load() != v1 {
 			continue // torn read: version moved underneath us
 		}
-		if v1 > tx.validTS && !tx.extendTo(v1) {
-			tx.noteConflict(a)
-			tx.abort(txtrace.AbortExtend)
-		}
 		if v1 > tx.validTS {
-			continue // extended, but not far enough; re-read
+			if !tx.extendTo(v1) {
+				tx.noteConflict(a)
+				tx.abort(txtrace.AbortExtend)
+			}
+			// Re-read: val predates the extension's clock sample, and a
+			// commit between the two can overwrite this word (not yet in
+			// the log, so not revalidated) with a stamp the extended
+			// snapshot covers.
+			continue
 		}
 		tx.readLog.Append(p, v1, nil)
 		if tx.traced {

@@ -774,11 +774,17 @@ func (tx *Tx) Load(a tm.Addr) uint64 {
 		if l.Load() != v1 {
 			continue
 		}
-		if v1 > tx.rv && !tx.extendTo(v1) {
-			tx.noteConflict(a)
-			tx.abort(txtrace.AbortExtend)
-		}
 		if v1 > tx.rv {
+			if !tx.extendTo(v1) {
+				tx.noteConflict(a)
+				tx.abort(txtrace.AbortExtend)
+			}
+			// Re-read even though the extension covered v1: val was
+			// sampled before the extension's clock sample, and a commit
+			// landing between the two can overwrite this word with a stamp
+			// the new rv covers. The extension did not revalidate this word
+			// (it is not in the log yet), so keeping val would log a
+			// version the snapshot has already moved past.
 			continue
 		}
 		tx.readLog.Append(l, v1)
@@ -841,11 +847,7 @@ func (tx *Tx) extendTo(witness uint64) bool {
 		if i%validationStride == 0 {
 			tx.work++
 		}
-		v := re.Lock.Load()
-		if v == re.Version {
-			continue
-		}
-		if tx.held.Holds(re.Lock) {
+		if tx.readValid(re) {
 			continue
 		}
 		if tx.traced {
@@ -861,6 +863,19 @@ func (tx *Tx) extendTo(witness uint64) bool {
 	}
 	tx.rv = ts
 	return true
+}
+
+// readValid reports whether a logged read still holds: its lock shows
+// the version read, or this transaction holds the lock and the version
+// its acquisition displaced is the version read. Holding the lock alone
+// proves nothing — a foreign commit may have moved the version between
+// the read and the acquisition.
+func (tx *Tx) readValid(re txlog.VersionedRead) bool {
+	if re.Lock.Load() == re.Version {
+		return true
+	}
+	pre, held := tx.held.Displaced(re.Lock)
+	return held && pre == re.Version
 }
 
 // Store implements tm.Tx: eager lock, undo log, in-place update.
@@ -950,7 +965,7 @@ func (tx *Tx) Retry() {
 		hub.Subscribe(&tx.waiter, fp)
 		valid := true
 		for _, re := range tx.readLog.Entries() {
-			if re.Lock.Load() != re.Version && !tx.held.Holds(re.Lock) {
+			if !tx.readValid(re) {
 				valid = false
 				break
 			}
@@ -987,15 +1002,23 @@ func (tx *Tx) commit() {
 		return
 	}
 	wv := tx.rt.clk.Tick(&tx.clkProbe)
-	// The wv == rv+1 validation skip is sound only on exclusive clocks
-	// (see the TL2 commit for the argument).
+	// The wv == rv+1 validation skip, with rv possibly advanced by
+	// extendTo. Every logged read is consistent at rv: a read is logged
+	// only at a version <= rv observed after rv was sampled (Load
+	// re-reads after each extension), and each extension revalidates
+	// the whole log after its clock sample. A committer that changes a
+	// logged word locks it before ticking, so one that ticked at or
+	// below rv was seen (locked or published) by that read or
+	// extension. wv == rv+1 on an exclusive clock means nobody else
+	// ticked since rv was sampled, so every later committer serializes
+	// after this one. Non-exclusive clocks hand out shared stamps and
+	// always validate.
 	if !tx.rt.exclusive || wv != tx.rv+1 {
 		for i, re := range tx.readLog.Entries() {
 			if i%validationStride == 0 {
 				tx.work++
 			}
-			v := re.Lock.Load()
-			if v != re.Version && !tx.held.Holds(re.Lock) {
+			if !tx.readValid(re) {
 				if tx.traced {
 					tx.tr.Record(txtrace.KindValidate, wv, uint64(tx.readLog.Len()), 0)
 				}
