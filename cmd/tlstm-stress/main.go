@@ -47,7 +47,6 @@ import (
 	"tlstm/internal/tm"
 	"tlstm/internal/txcheck"
 	"tlstm/internal/txmetrics"
-	"tlstm/internal/txstats"
 	"tlstm/internal/txtrace"
 	"tlstm/internal/xrand"
 )
@@ -218,23 +217,11 @@ func run() int {
 		pub := txmetrics.New()
 		pub.AddSource("tlstm", func() txmetrics.Snapshot {
 			st := rt.Stats()
-			return txmetrics.Snapshot{
-				Counters: map[string]uint64{
-					"committed": st.TxCommitted, "txAborts": st.TxAborted,
-					"taskRestarts": st.TaskRestarts, "work": st.Work,
-					"extensions": st.SnapshotExtensions, "clockRetries": st.ClockCASRetries,
-					"cmAbortsSelf": st.CMAbortsSelf, "cmAbortsOwner": st.CMAbortsOwner,
-					"backoffSpins": st.BackoffSpins, "entryReclaims": st.EntryReclaims,
-					"horizonStalls": st.HorizonStalls, "mvReads": st.MVReads, "mvMisses": st.MVMisses,
-					"crossShardConflicts": st.CrossShardConflicts, "remaps": st.Remaps,
-					"modeFallbacks": st.ModeFallbacks, "modeRecoveries": st.ModeRecoveries,
-					"retryWakes": st.RetryWakes,
-				},
-				Hists: map[string]txstats.Hist{
-					"commitLat": st.CommitLatency, "restartLat": st.RestartLatency,
-					"attempts": st.Attempts,
-				},
-			}
+			snap := txmetrics.FromCounters(st.Counters)
+			snap.Counters["committed"] = st.TxCommitted
+			snap.Counters["txAborts"] = st.TxAborted
+			snap.Counters["taskRestarts"] = st.TaskRestarts
+			return snap
 		})
 		if rec != nil {
 			pub.SetTrace(rec)

@@ -732,7 +732,8 @@ func TestDifferentialModeLadder(t *testing.T) {
 			rt := tl2.New(16, tl2.WithTrace(rec), tl2.WithMode(forced))
 			base := rt.Direct().Alloc(diffWords)
 			// TL2/write-through hang the ladder controller off the
-			// caller-owned Stats shard; a nil shard runs modeless.
+			// caller-owned Stats shard; one shard keeps one controller
+			// across the whole program.
 			st := &tl2.Stats{}
 			for _, ops := range prog {
 				ops := ops

@@ -17,11 +17,6 @@ import (
 // units, used by the virtual-time model (DESIGN.md §3).
 const commitCost = 2
 
-// remapPeriod is how many committed transactions a thread accumulates
-// between affinity-placement rebalance checks (same cadence as the flat
-// runtimes' per-worker remap windows).
-const remapPeriod = 64
-
 // commitStep is the task's commit procedure (Alg. 3 lines 65–77): wait
 // for all past tasks of the user-thread to complete, run the gated WAR
 // validation, then either mark this task completed and wait for the
@@ -376,7 +371,7 @@ func (t *Task) finishCommit(ts uint64, writeTx bool) {
 		// into the remap window the placement step below consumes.
 		thr.stats.ConflictSketch.Merge(task.sketch)
 		thr.stats.CrossShardConflicts += task.crossShard
-		thr.remapWindow.Merge(task.sketch)
+		thr.remap.Observe(task.sketch)
 		task.sketch = txstats.Sketch{}
 		task.crossShard = 0
 		// Set-size histograms: read before RetireCommitted empties the
@@ -401,24 +396,19 @@ func (t *Task) finishCommit(ts uint64, writeTx bool) {
 		t.tr.Record(txtrace.KindCommit, ts, txWrites, 0)
 	}
 
-	// Affinity remap step: every remapPeriod commits, hand the window of
-	// conflict observations since the last check to the placement policy
-	// and adopt whatever home it decides. finishCommit is serialized per
-	// thread, so the window and countdown need no synchronization; only
-	// the home itself is shared (tasks read it on conflict paths).
-	thr.txSinceRemap++
-	if thr.txSinceRemap >= remapPeriod {
-		thr.txSinceRemap = 0
-		if thr.rt.placement.Rebalance(int(thr.id), thr.remapWindow) {
-			old := thr.homeShard.Load()
-			home := int32(thr.rt.placement.Home(int(thr.id)))
-			thr.homeShard.Store(home)
-			thr.stats.Remaps++
-			if t.traced {
-				t.tr.Record(txtrace.KindRemap, ts, uint64(home), uint32(old))
-			}
+	// Affinity remap step: every sched.RemapPeriod commits, hand the
+	// window of conflict observations since the last check to the
+	// placement policy and adopt whatever home it decides. finishCommit
+	// is serialized per thread, so the window needs no synchronization;
+	// only the home itself is shared (tasks read it on conflict paths).
+	if thr.remap.Step(thr.rt.placement, int(thr.id)) {
+		old := thr.homeShard.Load()
+		home := int32(thr.rt.placement.Home(int(thr.id)))
+		thr.homeShard.Store(home)
+		thr.stats.Remaps++
+		if t.traced {
+			t.tr.Record(txtrace.KindRemap, ts, uint64(home), uint32(old))
 		}
-		thr.remapWindow = txstats.Sketch{}
 	}
 
 	// Retire the transaction's write-lock entries into their

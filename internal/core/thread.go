@@ -87,11 +87,10 @@ type Thread struct {
 	// homeShard is the thread's current home lock-table shard under the
 	// runtime's placement policy. Tasks read it from their workers while
 	// finishCommit's remap step may rebind it, hence the atomic; the
-	// remap bookkeeping below it (window, countdown) is written only by
-	// finishCommit, serialized per thread like stats.
-	homeShard    atomic.Int32
-	remapWindow  txstats.Sketch
-	txSinceRemap int
+	// remap window below it is written only by finishCommit, serialized
+	// per thread like stats.
+	homeShard atomic.Int32
+	remap     sched.Remapper
 
 	// stats is the thread's unshared statistics shard (SNIPPETS-style
 	// per-thread counters). Transaction counters are written only by
@@ -434,9 +433,6 @@ type Stats struct {
 	RestartCM      uint64
 	RestartSandbox uint64
 	RestartRetry   uint64
-	// Work is the total work in abstract units across all attempts,
-	// including aborted ones.
-	Work uint64
 	// VirtualTime is the modeled parallel execution time in work units:
 	// per transaction, tasks start together and task k finishes at
 	// max(own work, finish of task k−1) + commit cost, reflecting the
@@ -450,69 +446,16 @@ type Stats struct {
 	// from the recycled rings instead of freshly allocated — the
 	// steady-state case for every Submit after warm-up.
 	DescriptorReuses uint64
-	// SnapshotExtensions counts successful valid-ts extensions across
-	// all tasks. Pre-publishing clock strategies (deferred, sharded)
-	// trade commit-path clock contention for these.
-	SnapshotExtensions uint64
-	// ClockCASRetries counts failed CASes inside commit-clock
-	// operations (internal/clock.Probe): the direct measure of clock
-	// contention under the configured strategy.
-	ClockCASRetries uint64
-	// CMAbortsSelf counts inter-thread conflicts this thread's tasks
-	// lost (one AbortSelf decision each); CMAbortsOwner counts
-	// AbortOwner decisions, one per round spent waiting for a
-	// signalled owner to concede; BackoffSpins counts the scheduler
-	// yields the policy charged between retries (internal/cm.Probe).
-	CMAbortsSelf  uint64
-	CMAbortsOwner uint64
-	BackoffSpins  uint64
-	// EntryReclaims counts write-lock entries served from the
-	// descriptors' free rings instead of the heap — the steady-state
-	// case for every writer task once its ring has warmed, and what
-	// makes the writer hot path allocation-free. HorizonStalls counts
-	// entry requests that found only retired entries still inside their
-	// quiescence window and had to allocate fresh: the price of the
-	// reclamation safety rule under deep pipelining (each stalled
-	// allocation grows the ring, so stalls are self-limiting).
-	EntryReclaims uint64
-	HorizonStalls uint64
-	// ConflictSketch histograms aborts and contention-manager defeats by
-	// the lock-table shard of the contended location; it is the signal
-	// the affinity placement's remap step reads. CrossShardConflicts
-	// counts the subset that hit outside the thread's home shard at the
-	// time of the conflict; Remaps counts home-shard rebinds.
-	ConflictSketch      txstats.Sketch
-	CrossShardConflicts uint64
-	Remaps              uint64
-	// MVReads counts loads served on the multi-version wait-free path
-	// (declared read-only transactions, Config.MVDepth > 0): current
-	// memory unchanged since the snapshot, or a retained version.
-	// MVMisses counts the times a declared read-only transaction left
-	// that path — version-ring overruns, same-thread speculative state
-	// at the snapshot, or a write in a declared read-only body — and
-	// re-executed validated.
-	MVReads  uint64
-	MVMisses uint64
-	// ReadSetSizes and WriteSetSizes are per-task histograms of the
-	// read-log and write-log lengths at commit (multi-version reads are
-	// unlogged, so a wait-free read-only task observes size 0).
-	ReadSetSizes  txstats.Hist
-	WriteSetSizes txstats.Hist
-	// RestartLatency histograms the nanoseconds burned per rolled-back
-	// task attempt (all restart kinds); CommitLatency the nanoseconds of
-	// each transaction's final commit-task attempt; Attempts the
-	// whole-transaction attempt distribution (abort rounds + 1, so 1 =
-	// first-try commit; single-task restarts do not count as rounds).
-	RestartLatency txstats.Hist
-	CommitLatency  txstats.Hist
-	Attempts       txstats.Hist
-	// ModeFallbacks counts speculative→serialized ladder transitions
-	// (adaptive policy only); ModeRecoveries the serialized→speculative
-	// returns after a served residency. RetryWakes counts Retry parks
-	// that were woken by a conflicting commit's doorbell.
-	ModeFallbacks  uint64
-	ModeRecoveries uint64
-	RetryWakes     uint64
+	// Counters are the statistics shared with the flat runtimes. Per
+	// TLSTM: Work spans every task attempt; EntryReclaims counts entries
+	// served from the descriptors' free rings, and HorizonStalls the
+	// requests the reclamation horizon forced to allocate fresh (each
+	// stall grows the ring, so stalls are self-limiting); the set-size
+	// histograms are per task; Attempts counts whole-transaction abort
+	// rounds + 1 (single-task restarts do not count as rounds);
+	// ModeFallbacks and ModeRecoveries move only under the adaptive
+	// policy.
+	txstats.Counters
 }
 
 // Add folds o into s.
@@ -526,30 +469,10 @@ func (s *Stats) Add(o Stats) {
 	s.RestartCM += o.RestartCM
 	s.RestartSandbox += o.RestartSandbox
 	s.RestartRetry += o.RestartRetry
-	s.Work += o.Work
 	s.VirtualTime += o.VirtualTime
 	s.WorkersSpawned += o.WorkersSpawned
 	s.DescriptorReuses += o.DescriptorReuses
-	s.SnapshotExtensions += o.SnapshotExtensions
-	s.ClockCASRetries += o.ClockCASRetries
-	s.CMAbortsSelf += o.CMAbortsSelf
-	s.CMAbortsOwner += o.CMAbortsOwner
-	s.BackoffSpins += o.BackoffSpins
-	s.EntryReclaims += o.EntryReclaims
-	s.HorizonStalls += o.HorizonStalls
-	s.ConflictSketch.Merge(o.ConflictSketch)
-	s.CrossShardConflicts += o.CrossShardConflicts
-	s.Remaps += o.Remaps
-	s.MVReads += o.MVReads
-	s.MVMisses += o.MVMisses
-	s.ReadSetSizes.Merge(o.ReadSetSizes)
-	s.WriteSetSizes.Merge(o.WriteSetSizes)
-	s.RestartLatency.Merge(o.RestartLatency)
-	s.CommitLatency.Merge(o.CommitLatency)
-	s.Attempts.Merge(o.Attempts)
-	s.ModeFallbacks += o.ModeFallbacks
-	s.ModeRecoveries += o.ModeRecoveries
-	s.RetryWakes += o.RetryWakes
+	s.Counters.Add(o.Counters)
 }
 
 // minus returns the fieldwise difference s−o. It is only meaningful
@@ -557,39 +480,19 @@ func (s *Stats) Add(o Stats) {
 // how Sync computes the not-yet-merged part of a thread's shard.
 func (s Stats) minus(o Stats) Stats {
 	return Stats{
-		TxCommitted:         s.TxCommitted - o.TxCommitted,
-		TxAborted:           s.TxAborted - o.TxAborted,
-		TaskRestarts:        s.TaskRestarts - o.TaskRestarts,
-		RestartWAR:          s.RestartWAR - o.RestartWAR,
-		RestartWAW:          s.RestartWAW - o.RestartWAW,
-		RestartExtend:       s.RestartExtend - o.RestartExtend,
-		RestartCM:           s.RestartCM - o.RestartCM,
-		RestartSandbox:      s.RestartSandbox - o.RestartSandbox,
-		RestartRetry:        s.RestartRetry - o.RestartRetry,
-		Work:                s.Work - o.Work,
-		VirtualTime:         s.VirtualTime - o.VirtualTime,
-		WorkersSpawned:      s.WorkersSpawned - o.WorkersSpawned,
-		DescriptorReuses:    s.DescriptorReuses - o.DescriptorReuses,
-		SnapshotExtensions:  s.SnapshotExtensions - o.SnapshotExtensions,
-		ClockCASRetries:     s.ClockCASRetries - o.ClockCASRetries,
-		CMAbortsSelf:        s.CMAbortsSelf - o.CMAbortsSelf,
-		CMAbortsOwner:       s.CMAbortsOwner - o.CMAbortsOwner,
-		BackoffSpins:        s.BackoffSpins - o.BackoffSpins,
-		EntryReclaims:       s.EntryReclaims - o.EntryReclaims,
-		HorizonStalls:       s.HorizonStalls - o.HorizonStalls,
-		ConflictSketch:      s.ConflictSketch.Minus(o.ConflictSketch),
-		CrossShardConflicts: s.CrossShardConflicts - o.CrossShardConflicts,
-		Remaps:              s.Remaps - o.Remaps,
-		MVReads:             s.MVReads - o.MVReads,
-		MVMisses:            s.MVMisses - o.MVMisses,
-		ReadSetSizes:        s.ReadSetSizes.Minus(o.ReadSetSizes),
-		WriteSetSizes:       s.WriteSetSizes.Minus(o.WriteSetSizes),
-		RestartLatency:      s.RestartLatency.Minus(o.RestartLatency),
-		CommitLatency:       s.CommitLatency.Minus(o.CommitLatency),
-		Attempts:            s.Attempts.Minus(o.Attempts),
-		ModeFallbacks:       s.ModeFallbacks - o.ModeFallbacks,
-		ModeRecoveries:      s.ModeRecoveries - o.ModeRecoveries,
-		RetryWakes:          s.RetryWakes - o.RetryWakes,
+		TxCommitted:      s.TxCommitted - o.TxCommitted,
+		TxAborted:        s.TxAborted - o.TxAborted,
+		TaskRestarts:     s.TaskRestarts - o.TaskRestarts,
+		RestartWAR:       s.RestartWAR - o.RestartWAR,
+		RestartWAW:       s.RestartWAW - o.RestartWAW,
+		RestartExtend:    s.RestartExtend - o.RestartExtend,
+		RestartCM:        s.RestartCM - o.RestartCM,
+		RestartSandbox:   s.RestartSandbox - o.RestartSandbox,
+		RestartRetry:     s.RestartRetry - o.RestartRetry,
+		VirtualTime:      s.VirtualTime - o.VirtualTime,
+		WorkersSpawned:   s.WorkersSpawned - o.WorkersSpawned,
+		DescriptorReuses: s.DescriptorReuses - o.DescriptorReuses,
+		Counters:         s.Counters.Minus(o.Counters),
 	}
 }
 

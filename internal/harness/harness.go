@@ -1,10 +1,12 @@
 // Package harness drives the paper's four evaluation experiments
-// (Figures 1a, 1b, 2a, 2b) over both runtimes and reports throughput.
+// (Figures 1a, 1b, 2a, 2b) over the four runtimes (TLSTM, SwissTM, TL2
+// and the write-through STM) and reports throughput.
 //
 // Hardware substitution (DESIGN.md §3): the paper measured wall-clock
-// throughput on 64-hardware-thread machines; this container has one
-// CPU, where speculative parallelism cannot shorten wall time. The
-// runtimes therefore count *work units* for every operation they
+// throughput on 64-hardware-thread machines; the harness was built on a
+// single CPU, where speculative parallelism cannot shorten wall time,
+// and its figures must not depend on the core count. The runtimes
+// therefore count *work units* for every operation they
 // actually execute — reads, writes, validation steps, commit publishes,
 // including all aborted attempts — and the harness reports *virtual
 // time*: per user-transaction, its tasks start together and task k
@@ -34,7 +36,7 @@ import (
 )
 
 // TaskBody is one speculative task's work, written against the common
-// tm.Tx interface so the same body runs on both runtimes.
+// tm.Tx interface so the same body runs on all four runtimes.
 type TaskBody func(tx tm.Tx)
 
 // TxSeq is one user-transaction decomposed into task bodies in program
@@ -72,7 +74,8 @@ func (w Workload) declaredRO(thread, idx int) bool {
 	return w.ReadOnly != nil && w.ReadOnly(thread, idx)
 }
 
-// Result is one configuration's measurement.
+// Result is one configuration's measurement. The embedded Counters are
+// the runtimes' shared statistics, summed over the run's threads.
 type Result struct {
 	Label        string
 	Ops          uint64
@@ -87,74 +90,31 @@ type Result struct {
 	WorkersSpawned   uint64
 	DescriptorReuses uint64
 	// Clock is the commit-clock strategy the run used ("gv4",
-	// "deferred", "sharded", "gv7"); SnapshotExtensions and
-	// ClockCASRetries are the strategy's costs — extra snapshot
-	// revalidations and clock CAS spins — folded from the per-thread
-	// stats shards.
-	Clock              string
-	SnapshotExtensions uint64
-	ClockCASRetries    uint64
-	// CM is the contention-management policy the run used ("suicide",
-	// "backoff", "greedy", "karma", "taskaware");
-	// CMAbortsSelf counts lost conflicts (one AbortSelf decision each),
-	// CMAbortsOwner counts AbortOwner decisions — re-issued every round
-	// a requester waits for the signalled owner to concede, so it
-	// measures rounds spent winning rather than distinct conflicts —
-	// and BackoffSpins the scheduler yields the policy charged between
-	// retries; all folded from the per-thread stats shards.
-	CM            string
-	CMAbortsSelf  uint64
-	CMAbortsOwner uint64
-	BackoffSpins  uint64
-	// EntryReclaims counts write-lock entries recycled from the
-	// runtimes' entry pools instead of the heap (for TLSTM, under the
-	// epoch-based quiescence horizon); HorizonStalls counts entry
-	// requests the horizon forced to allocate fresh — the measured cost
-	// of the reclamation safety rule. Folded from the per-thread stats
-	// shards.
-	EntryReclaims uint64
-	HorizonStalls uint64
+	// "deferred", "sharded", "gv7"); CM the contention-management policy
+	// ("suicide", "backoff", "greedy", "karma", "taskaware"); Mode the
+	// execution-mode policy ("spec", "adaptive", "serial").
+	Clock string
+	CM    string
+	Mode  string
 	// Shards is the run's lock-table shard count (1 = flat) and
 	// Placement the thread-placement policy ("static" round-robin or
-	// "affinity"). CrossShardConflicts counts conflicts attributed to a
-	// shard other than the conflicting thread's home at conflict time;
-	// Remaps counts affinity home rebinds. Folded from the per-thread
-	// conflict sketches.
-	Shards              int
-	Placement           string
-	CrossShardConflicts uint64
-	Remaps              uint64
+	// "affinity").
+	Shards    int
+	Placement string
 	// MV is the runtime's retained version depth (0 when
-	// multi-versioning is off). MVReads counts loads served on the
-	// wait-free multi-version path; MVMisses counts declared read-only
-	// transactions that left it (ring overruns, writes under a
-	// read-only declaration) and re-executed validated.
-	MV       int
-	MVReads  uint64
-	MVMisses uint64
-	// ReadSets and WriteSets are the per-committed-transaction (per
-	// task, for TLSTM) set-size histograms folded from the runtimes'
-	// stats shards. Multi-version reads are unlogged, so a read-mostly
-	// run with mv on shows its read-set mass collapse into bucket 0.
-	ReadSets  txstats.Hist
-	WriteSets txstats.Hist
-	// RestartLatency and CommitLatency are nanosecond histograms of the
-	// time burned per aborted attempt and spent by each final successful
-	// attempt; Attempts is the attempts-per-committed-transaction
-	// distribution (1 = first-try commit). All folded from the runtimes'
-	// stats shards.
-	RestartLatency txstats.Hist
-	CommitLatency  txstats.Hist
-	Attempts       txstats.Hist
-	// Mode is the run's execution-mode policy ("spec", "adaptive",
-	// "serial"); ModeFallbacks counts speculative→serialized ladder
-	// transitions, ModeRecoveries the returns to speculation, and
-	// RetryWakes the Retry parks woken by a conflicting commit. Folded
-	// from the per-thread stats shards.
-	Mode           string
-	ModeFallbacks  uint64
-	ModeRecoveries uint64
-	RetryWakes     uint64
+	// multi-versioning is off).
+	MV int
+
+	txstats.Counters
+}
+
+// fold adds one thread's shard to r. Threads run in parallel, so the
+// run's virtual duration is the longest thread's.
+func (r *Result) fold(commits, aborts, virtual uint64, c txstats.Counters) {
+	r.TxCommitted += commits
+	r.TxAborted += aborts
+	r.VirtualUnits = max(r.VirtualUnits, virtual)
+	r.Counters.Add(c)
 }
 
 // Throughput reports application operations per 1000 virtual work units
@@ -192,7 +152,7 @@ func (r Result) String() string {
 	}
 	if r.MV > 0 || r.MVReads > 0 || r.MVMisses > 0 {
 		s += fmt.Sprintf(" mv=%d mvRead=%-7d mvMiss=%-4d rset[%s] wset[%s]",
-			r.MV, r.MVReads, r.MVMisses, r.ReadSets, r.WriteSets)
+			r.MV, r.MVReads, r.MVMisses, r.ReadSetSizes, r.WriteSetSizes)
 	}
 	if r.CommitLatency.Total() > 0 {
 		s += fmt.Sprintf(" commitLat[%s] attempts[%s]", r.CommitLatency, r.Attempts)
@@ -254,55 +214,20 @@ func RunSTM(rt *stm.Runtime, w Workload) Result {
 	}
 	for _, wk := range workers {
 		st := wk.Stats()
-		res.TxCommitted += st.Commits
-		res.TxAborted += st.Aborts
-		res.CrossShardConflicts += st.CrossShardConflicts
-		res.Remaps += st.Remaps
-		res.SnapshotExtensions += st.SnapshotExtensions
-		res.ClockCASRetries += st.ClockCASRetries
-		res.CMAbortsSelf += st.CMAbortsSelf
-		res.CMAbortsOwner += st.CMAbortsOwner
-		res.BackoffSpins += st.BackoffSpins
-		res.EntryReclaims += st.EntryReclaims
-		res.HorizonStalls += st.HorizonStalls
-		res.MVReads += st.MVReads
-		res.MVMisses += st.MVMisses
-		res.ModeFallbacks += st.ModeFallbacks
-		res.ModeRecoveries += st.ModeRecoveries
-		res.RetryWakes += st.RetryWakes
-		res.ReadSets.Merge(st.ReadSetSizes)
-		res.WriteSets.Merge(st.WriteSetSizes)
-		res.RestartLatency.Merge(st.RestartLatency)
-		res.CommitLatency.Merge(st.CommitLatency)
-		res.Attempts.Merge(st.Attempts)
-		if st.Work > res.VirtualUnits {
-			res.VirtualUnits = st.Work // threads run in parallel
-		}
+		res.fold(st.Commits, st.Aborts, st.Work, st.Counters)
 		wk.Close() // merge the shard into the runtime aggregate
 	}
 	return res
 }
 
-// flatStats is the counter set a flat (non-speculative) runtime folds
-// into a Result; see runFlat.
-type flatStats struct {
-	commits, aborts, work, extensions, clockRetries uint64
-	cmAbortsSelf, cmAbortsOwner, backoffSpins       uint64
-	entryReclaims, horizonStalls                    uint64
-	mvReads, mvMisses                               uint64
-	readSets, writeSets                             txstats.Hist
-	restartLat, commitLat, attempts                 txstats.Hist
-	crossShardConflicts, remaps                     uint64
-	modeFallbacks, modeRecoveries, retryWakes       uint64
-}
-
 // runFlat drives a flat-transaction runtime: one goroutine per thread,
 // each TxSeq concatenated into one transaction (routed through atomicRO
 // when the workload declares it read-only), per-thread statistics
-// extracted into the shared Result shape. RunTL2 and RunWTSTM are thin
-// wrappers so the fan-out/fold logic exists once.
+// folded into the shared Result shape (shard reports one thread's
+// commits, aborts and counters). RunTL2 and RunWTSTM are thin wrappers
+// so the fan-out/fold logic exists once.
 func runFlat[S any](w Workload, clockName, cmName string, mvDepth, shards int, placement string,
-	atomic, atomicRO func(st *S, run func(tm.Tx)), extract func(S) flatStats) Result {
+	atomic, atomicRO func(st *S, run func(tm.Tx)), shard func(S) (commits, aborts uint64, c txstats.Counters)) Result {
 	start := time.Now()
 	stats := make([]S, w.Threads)
 	var wg sync.WaitGroup
@@ -338,31 +263,8 @@ func runFlat[S any](w Workload, clockName, cmName string, mvDepth, shards int, p
 		Placement: placement,
 	}
 	for _, s := range stats {
-		st := extract(s)
-		res.TxCommitted += st.commits
-		res.TxAborted += st.aborts
-		res.CrossShardConflicts += st.crossShardConflicts
-		res.Remaps += st.remaps
-		res.SnapshotExtensions += st.extensions
-		res.ClockCASRetries += st.clockRetries
-		res.CMAbortsSelf += st.cmAbortsSelf
-		res.CMAbortsOwner += st.cmAbortsOwner
-		res.BackoffSpins += st.backoffSpins
-		res.EntryReclaims += st.entryReclaims
-		res.HorizonStalls += st.horizonStalls
-		res.MVReads += st.mvReads
-		res.MVMisses += st.mvMisses
-		res.ModeFallbacks += st.modeFallbacks
-		res.ModeRecoveries += st.modeRecoveries
-		res.RetryWakes += st.retryWakes
-		res.ReadSets.Merge(st.readSets)
-		res.WriteSets.Merge(st.writeSets)
-		res.RestartLatency.Merge(st.restartLat)
-		res.CommitLatency.Merge(st.commitLat)
-		res.Attempts.Merge(st.attempts)
-		if st.work > res.VirtualUnits {
-			res.VirtualUnits = st.work // threads run in parallel
-		}
+		commits, aborts, c := shard(s)
+		res.fold(commits, aborts, c.Work, c)
 	}
 	return res
 }
@@ -376,15 +278,7 @@ func RunTL2(rt *tl2.Runtime, w Workload) Result {
 		func(st *tl2.Stats, run func(tm.Tx)) {
 			rt.AtomicRO(st, func(tx *tl2.Tx) { run(tx) })
 		},
-		func(st tl2.Stats) flatStats {
-			return flatStats{st.Commits, st.Aborts, st.Work, st.SnapshotExtensions, st.ClockCASRetries,
-				st.CMAbortsSelf, st.CMAbortsOwner, st.BackoffSpins,
-				st.EntryReclaims, st.HorizonStalls,
-				st.MVReads, st.MVMisses, st.ReadSetSizes, st.WriteSetSizes,
-				st.RestartLatency, st.CommitLatency, st.Attempts,
-				st.CrossShardConflicts, st.Remaps,
-				st.ModeFallbacks, st.ModeRecoveries, st.RetryWakes}
-		})
+		func(st tl2.Stats) (uint64, uint64, txstats.Counters) { return st.Commits, st.Aborts, st.Counters })
 }
 
 // RunWTSTM executes the workload on the write-through STM.
@@ -396,15 +290,7 @@ func RunWTSTM(rt *wtstm.Runtime, w Workload) Result {
 		func(st *wtstm.Stats, run func(tm.Tx)) {
 			rt.AtomicRO(st, func(tx *wtstm.Tx) { run(tx) })
 		},
-		func(st wtstm.Stats) flatStats {
-			return flatStats{st.Commits, st.Aborts, st.Work, st.SnapshotExtensions, st.ClockCASRetries,
-				st.CMAbortsSelf, st.CMAbortsOwner, st.BackoffSpins,
-				st.EntryReclaims, st.HorizonStalls,
-				st.MVReads, st.MVMisses, st.ReadSetSizes, st.WriteSetSizes,
-				st.RestartLatency, st.CommitLatency, st.Attempts,
-				st.CrossShardConflicts, st.Remaps,
-				st.ModeFallbacks, st.ModeRecoveries, st.RetryWakes}
-		})
+		func(st wtstm.Stats) (uint64, uint64, txstats.Counters) { return st.Commits, st.Aborts, st.Counters })
 }
 
 // RunTLSTM executes the workload over TLSTM: each TxSeq element becomes
@@ -456,33 +342,10 @@ func RunTLSTM(rt *core.Runtime, w Workload) Result {
 	}
 	for _, thr := range threads {
 		st := thr.Stats()
-		res.TxCommitted += st.TxCommitted
-		res.TxAborted += st.TxAborted
+		res.fold(st.TxCommitted, st.TxAborted, st.VirtualTime, st.Counters)
 		res.TaskRestarts += st.TaskRestarts
-		res.CrossShardConflicts += st.CrossShardConflicts
-		res.Remaps += st.Remaps
 		res.WorkersSpawned += st.WorkersSpawned
 		res.DescriptorReuses += st.DescriptorReuses
-		res.SnapshotExtensions += st.SnapshotExtensions
-		res.ClockCASRetries += st.ClockCASRetries
-		res.CMAbortsSelf += st.CMAbortsSelf
-		res.CMAbortsOwner += st.CMAbortsOwner
-		res.BackoffSpins += st.BackoffSpins
-		res.EntryReclaims += st.EntryReclaims
-		res.HorizonStalls += st.HorizonStalls
-		res.MVReads += st.MVReads
-		res.MVMisses += st.MVMisses
-		res.ModeFallbacks += st.ModeFallbacks
-		res.ModeRecoveries += st.ModeRecoveries
-		res.RetryWakes += st.RetryWakes
-		res.ReadSets.Merge(st.ReadSetSizes)
-		res.WriteSets.Merge(st.WriteSetSizes)
-		res.RestartLatency.Merge(st.RestartLatency)
-		res.CommitLatency.Merge(st.CommitLatency)
-		res.Attempts.Merge(st.Attempts)
-		if st.VirtualTime > res.VirtualUnits {
-			res.VirtualUnits = st.VirtualTime
-		}
 	}
 	return res
 }

@@ -386,7 +386,7 @@ func TestCompareMVMatrix(t *testing.T) {
 		if !strings.Contains(r.String(), "mv=") {
 			t.Fatalf("%s: Result.String does not surface mv counters: %q", r.Label, r.String())
 		}
-		if r.ReadSets[0] == 0 {
+		if r.ReadSetSizes[0] == 0 {
 			t.Fatalf("%s: no read-only transaction landed in the empty-read-set bucket", r.Label)
 		}
 	}

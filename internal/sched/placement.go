@@ -35,6 +35,39 @@ type Placement interface {
 	Rebalance(thread int, window txstats.Sketch) bool
 }
 
+// RemapPeriod is how many transactions a thread commits between
+// consecutive Rebalance offers: large enough that the policy sees a
+// meaningful sketch window, small enough that a shifted workload
+// re-homes within tens of microseconds of work.
+const RemapPeriod = 64
+
+// Remapper is a thread's side of the placement loop, run in its commit
+// epilogue: it accumulates the conflict sketch of what the thread
+// commits and, every RemapPeriod transactions, offers that window to the
+// policy. Owner-only, like Rebalance.
+type Remapper struct {
+	window txstats.Sketch
+	since  int
+}
+
+// Observe folds one committed transaction's (or task's) conflict sketch
+// into the window.
+func (r *Remapper) Observe(s txstats.Sketch) { r.window.Merge(s) }
+
+// Step counts one committed transaction and, every RemapPeriod of them,
+// offers the window to p on thread's behalf and starts a new one. It
+// reports whether thread's home changed.
+func (r *Remapper) Step(p Placement, thread int) bool {
+	r.since++
+	if r.since < RemapPeriod {
+		return false
+	}
+	r.since = 0
+	moved := p.Rebalance(thread, r.window)
+	r.window = txstats.Sketch{}
+	return moved
+}
+
 // RoundRobin is the static default placement: thread i is homed on
 // shard i mod N forever. It is the degenerate policy that preserves
 // the pre-sharding behaviour (and the control leg of every

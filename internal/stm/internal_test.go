@@ -5,6 +5,7 @@ import (
 
 	"tlstm/internal/locktable"
 	"tlstm/internal/tm"
+	"tlstm/internal/txdriver"
 )
 
 // White-box tests for SwissTM's validation and locking internals.
@@ -154,7 +155,7 @@ func TestWorkChargesIncludeAbortedAttempts(t *testing.T) {
 		t.Fatalf("Aborts = %d, want 1", st.Aborts)
 	}
 	// Two attempts must be charged at least two tx-start costs.
-	if st.Work < 2*txStartCost {
-		t.Fatalf("Work = %d, want ≥ %d (aborted attempt must be charged)", st.Work, 2*txStartCost)
+	if st.Work < 2*txdriver.StartCost {
+		t.Fatalf("Work = %d, want ≥ %d (aborted attempt must be charged)", st.Work, 2*txdriver.StartCost)
 	}
 }

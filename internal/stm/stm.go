@@ -33,7 +33,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 	"unsafe"
 
 	"tlstm/internal/clock"
@@ -41,8 +40,8 @@ import (
 	"tlstm/internal/locktable"
 	"tlstm/internal/mem"
 	"tlstm/internal/mode"
-	"tlstm/internal/sched"
 	"tlstm/internal/tm"
+	"tlstm/internal/txdriver"
 	"tlstm/internal/txlog"
 	"tlstm/internal/txstats"
 	"tlstm/internal/txtrace"
@@ -140,7 +139,6 @@ type Runtime struct {
 	locks *locktable.Table
 
 	clk clock.Source
-	cm  cm.Policy
 
 	// mv, when non-nil, is the multi-version word store declared
 	// read-only transactions read from without validating.
@@ -150,19 +148,10 @@ type Runtime struct {
 	// their event rings with (WithTrace).
 	trace *txtrace.Recorder
 
-	// modeCfg is the filled ladder configuration Workers build their
-	// controllers from; gate is the serialized-fallback lock and hub
-	// the Retry/Wait registry, both runtime-global.
-	modeCfg mode.Config
-	gate    mode.Gate
-	hub     *mode.WaitHub
-
-	// placement maps workers to home lock-table shards; workers offer
-	// it their conflict-sketch windows at commit boundaries.
-	placement sched.Placement
-
-	// workerIDs hands each Worker a placement identity at creation.
-	workerIDs atomic.Int32
+	// drv is the shared retry-loop driver: contention manager, mode
+	// ladder (serialized-fallback gate, Retry/Wait hub) and the
+	// placement that maps workers to home lock-table shards.
+	drv txdriver.Driver
 
 	// stats aggregates the shards merged by Worker.Close (SNIPPETS-style
 	// per-thread stats: workers accumulate unshared, merge at exit).
@@ -194,17 +183,10 @@ func New(opts ...Option) *Runtime {
 			Shards: c.shards,
 			Padded: c.padded,
 		}),
-		clk:     c.clk,
-		cm:      c.pol,
-		trace:   c.trace,
-		modeCfg: c.mode.Fill(),
-		hub:     mode.NewWaitHub(),
+		clk:   c.clk,
+		trace: c.trace,
 	}
-	if c.affinity {
-		rt.placement = sched.NewAffinity(rt.locks.Shards())
-	} else {
-		rt.placement = sched.NewRoundRobin(rt.locks.Shards())
-	}
+	rt.drv.Init(c.clk, c.pol, c.mode, rt.locks.Shards(), c.affinity)
 	if c.mvDepth > 0 {
 		rt.mv = txlog.NewVersionedStore(c.mvDepth, txlog.DefaultVersionedStoreBits)
 	}
@@ -224,7 +206,7 @@ func New(opts ...Option) *Runtime {
 func (rt *Runtime) Shards() int { return rt.locks.Shards() }
 
 // PlacementName reports the thread-placement policy in use.
-func (rt *Runtime) PlacementName() string { return rt.placement.Name() }
+func (rt *Runtime) PlacementName() string { return rt.drv.PlacementName() }
 
 // MVDepth reports the retained version depth (0 when multi-versioning
 // is off).
@@ -242,7 +224,7 @@ func (rt *Runtime) CommitTS() uint64 { return rt.clk.Now() }
 func (rt *Runtime) ClockName() string { return rt.clk.Name() }
 
 // CMName reports the contention-management policy this runtime uses.
-func (rt *Runtime) CMName() string { return rt.cm.Name() }
+func (rt *Runtime) CMName() string { return rt.drv.CM().Name() }
 
 // Allocator exposes the runtime's allocator for non-transactional setup
 // code (building initial data structures before threads start).
@@ -261,103 +243,22 @@ func (rt *Runtime) StoreWordRaw(a tm.Addr, v uint64) { rt.store.StoreWord(a, v) 
 // LoadWordRaw reads a word non-transactionally (setup/verification only).
 func (rt *Runtime) LoadWordRaw(a tm.Addr) uint64 { return rt.store.LoadWord(a) }
 
-// Stats accumulates per-worker execution statistics across Atomic calls.
-// Work is in abstract work units (one unit ≈ one TM operation or one
-// validation step, aborted attempts included); the benchmark harness
-// feeds it into the virtual-time model described in DESIGN.md §3.
+// Stats accumulates per-worker execution statistics across Atomic
+// calls. The baseline recycles write-lock entries unconditionally at
+// attempt boundaries (validation here is version-based, not
+// pointer-based, so no quiescence is needed): EntryReclaims counts the
+// entries served from the pool, and HorizonStalls is always 0.
 type Stats struct {
 	Commits uint64
 	Aborts  uint64
-	Work    uint64
-	// SnapshotExtensions counts successful valid-ts extensions: how
-	// often a read ran past the snapshot and the read log revalidated
-	// forward instead of aborting. Pre-publishing clock strategies
-	// (deferred, sharded) trade commit-path contention for these.
-	SnapshotExtensions uint64
-	// ClockCASRetries counts failed CASes inside commit-clock
-	// operations (internal/clock.Probe), the direct measure of clock
-	// contention under each strategy.
-	ClockCASRetries uint64
-	// CMAbortsSelf counts lost write/write conflicts (one AbortSelf
-	// decision each); CMAbortsOwner counts AbortOwner decisions, one
-	// per round spent waiting for a signalled owner to concede;
-	// BackoffSpins counts the scheduler yields the policy charged
-	// between retries (internal/cm.Probe).
-	CMAbortsSelf  uint64
-	CMAbortsOwner uint64
-	BackoffSpins  uint64
-	// EntryReclaims counts write-lock entries served from the write
-	// log's pool instead of the heap. The baseline recycles entries
-	// unconditionally at attempt boundaries (no quiescence needed:
-	// validation here is version-based, not pointer-based), so
-	// HorizonStalls — requests blocked on TLSTM's reclamation horizon —
-	// is always 0; the field exists so reclamation sweeps report a
-	// uniform column across runtimes.
-	EntryReclaims uint64
-	HorizonStalls uint64
-	// MVReads counts reads served on the multi-version wait-free path
-	// (current version within snapshot, or a retained version covering
-	// it); MVMisses counts read-only transactions that fell off that
-	// path — a version ring overrun or an undeclared write — and re-ran
-	// validated.
-	MVReads  uint64
-	MVMisses uint64
-	// ReadSetSizes and WriteSetSizes histogram the per-committed-
-	// transaction set sizes (logged reads / locked pairs); read-only
-	// transactions on the multi-version path log nothing, so they land
-	// in bucket 0.
-	ReadSetSizes  txstats.Hist
-	WriteSetSizes txstats.Hist
-	// RestartLatency histograms attempt-start → abort deltas in
-	// nanoseconds (one observation per aborted attempt); CommitLatency
-	// histograms attempt-start → commit deltas for the final,
-	// successful attempt. Attempts histograms attempts per committed
-	// transaction (1 = committed first try).
-	RestartLatency txstats.Hist
-	CommitLatency  txstats.Hist
-	Attempts       txstats.Hist
-	// ConflictSketch counts aborts and CM defeats per lock-table shard
-	// — the feedback signal the affinity placement policy consumes.
-	// CrossShardConflicts counts the subset that landed outside the
-	// worker's home shard at the time; Remaps counts placement rebinds
-	// (home-shard changes) the worker underwent.
-	ConflictSketch      txstats.Sketch
-	CrossShardConflicts uint64
-	Remaps              uint64
-	// ModeFallbacks counts speculative→serialized ladder transitions
-	// (mid-transaction escalations included) and ModeRecoveries the
-	// returns to speculation; RetryWakes counts Retry parks woken by a
-	// conflicting commit's doorbell.
-	ModeFallbacks  uint64
-	ModeRecoveries uint64
-	RetryWakes     uint64
+	txstats.Counters
 }
 
 // Add folds o into s.
 func (s *Stats) Add(o Stats) {
 	s.Commits += o.Commits
 	s.Aborts += o.Aborts
-	s.Work += o.Work
-	s.SnapshotExtensions += o.SnapshotExtensions
-	s.ClockCASRetries += o.ClockCASRetries
-	s.CMAbortsSelf += o.CMAbortsSelf
-	s.CMAbortsOwner += o.CMAbortsOwner
-	s.BackoffSpins += o.BackoffSpins
-	s.EntryReclaims += o.EntryReclaims
-	s.HorizonStalls += o.HorizonStalls
-	s.MVReads += o.MVReads
-	s.MVMisses += o.MVMisses
-	s.ReadSetSizes.Merge(o.ReadSetSizes)
-	s.WriteSetSizes.Merge(o.WriteSetSizes)
-	s.RestartLatency.Merge(o.RestartLatency)
-	s.CommitLatency.Merge(o.CommitLatency)
-	s.Attempts.Merge(o.Attempts)
-	s.ConflictSketch.Merge(o.ConflictSketch)
-	s.CrossShardConflicts += o.CrossShardConflicts
-	s.Remaps += o.Remaps
-	s.ModeFallbacks += o.ModeFallbacks
-	s.ModeRecoveries += o.ModeRecoveries
-	s.RetryWakes += o.RetryWakes
+	s.Counters.Add(o.Counters)
 }
 
 // Stats returns the runtime-global aggregate: the sum of every shard
@@ -369,35 +270,6 @@ func (rt *Runtime) Stats() Stats { return rt.stats.Snapshot() }
 // the package: Atomic recovers it. (Panic/recover is the conventional
 // mechanism for non-local abort in Go STMs; user code simply re-runs.)
 type rollbackSignal struct{}
-
-// yieldQuantum is the forced-interleaving grain: a transaction yields
-// the processor every yieldQuantum work units. On the paper's hardware
-// transactions overlap in real time; on a single-CPU simulator a
-// transaction would otherwise run to completion in one scheduler slice
-// and inter-thread contention would never materialize. Waiting on
-// another thread's lock is charged one quantum per spin iteration — the
-// lock owner progresses by about one quantum per scheduler round.
-const yieldQuantum = 64
-
-// txStartCost models transaction setup (descriptor and log
-// initialization, timestamp read) in work units; TLSTM charges the same
-// constant per task, which is what bounds its achievable task-split
-// speedup (paper Fig. 1a tops out well below the task count).
-const txStartCost = 24
-
-// validationStride discounts validation steps: one work unit per this
-// many read-log entries checked. A validation step is a version
-// compare — roughly an order of magnitude cheaper than an instrumented
-// transactional load.
-const validationStride = 8
-
-// tick charges work units and enforces the interleaving grain.
-func (tx *Tx) tick(units uint64) {
-	tx.work += units
-	if tx.work%yieldQuantum < units {
-		runtime.Gosched()
-	}
-}
 
 // Tx is one transaction descriptor. It implements tm.Tx. A Tx is only
 // valid inside the function passed to Atomic and must not be retained
@@ -420,7 +292,6 @@ type Tx struct {
 	// the atomics below once, at Worker creation.
 	owner   locktable.OwnerRef
 	abortTx atomic.Bool
-	greedTS atomic.Uint64 // greedy CM slot, persists across retries
 
 	readLog  txlog.ReadLog
 	writeLog txlog.WriteLog
@@ -429,60 +300,18 @@ type Tx struct {
 	allocs []tm.Addr // fresh blocks to release on abort
 	frees  []tm.Addr // deferred frees to apply on commit
 
-	work    uint64 // work units of the current transaction (all attempts)
-	aborts  uint64
-	extends uint64 // successful snapshot extensions (all attempts)
-
-	// home is the worker's current home lock-table shard (refreshed
-	// from the placement policy at remap boundaries); sketch and
-	// crossShard attribute this transaction's aborts and CM defeats to
-	// shards, relative to home. All per-transaction, folded into the
-	// stats shard at commit.
-	home       int32
-	sketch     txstats.Sketch
-	crossShard uint64
+	// d is the driver's half of the descriptor: attempt bookkeeping,
+	// contention-management identity (its priority slot is the owner
+	// header's greedy CM slot, persisting across retries), clock probe
+	// and tracer.
+	d txdriver.Desc
 
 	// ro marks a transaction declared read-only (AtomicRO); mvOn is
 	// true while the current transaction runs the multi-version
 	// wait-free read path. A miss clears mvOn for the rest of the
 	// transaction and re-runs it validated — never an error.
-	ro       bool
-	mvOn     bool
-	mvReads  uint64
-	mvMisses uint64
-
-	// cmSelf is the transaction's contention-management identity: its
-	// situational fields are refreshed in place before every conflict
-	// resolution, so the conflict path never allocates. cmProbe holds
-	// the per-descriptor decision counters and backoff state.
-	cmSelf  cm.Self
-	cmProbe cm.Probe
-
-	// clkProbe accumulates clock CAS retries (and pins this descriptor
-	// to a shard under the sharded strategy); folded into the stats
-	// shard per transaction.
-	clkProbe clock.Probe
-
-	// tr is this descriptor's flight recorder (txtrace.Nop by default);
-	// traced caches tr.Enabled() so the disabled hot path costs one
-	// predicted branch instead of an interface call per operation.
-	tr     txtrace.Tracer
-	traced bool
-
-	// inSerial marks a transaction running under the runtime's
-	// serialized-fallback gate: it is exempt from the gate-pending
-	// yield in the conflict wait loop (it IS the entrant).
-	inSerial bool
-	// gateYield asks the retry loop for one SpinInit backoff: the
-	// attempt aborted itself to let a gate entrant pass.
-	gateYield bool
-	// waiter/parkPending/parkFP implement Retry: the attempt that
-	// called Retry subscribed the waiter and unwinds; the retry loop
-	// parks it before re-running.
-	waiter      mode.Waiter
-	parkPending bool
-	parkFP      uint64
-	retryAborts uint64
+	ro   bool
+	mvOn bool
 }
 
 // completedZero is a shared always-zero counter: the baseline has no
@@ -499,31 +328,18 @@ type Worker struct {
 	tx    Tx
 	stats Stats // unshared shard; merged into rt.stats by Close
 
-	// ctl is the worker's execution-mode controller (single-owner, no
-	// atomics): disarmed under mode.Speculative, it costs two branches
-	// per transaction.
-	ctl mode.Controller
-
-	// id is the worker's placement identity; remapWindow accumulates
-	// the conflict sketch since the last Rebalance offer, made every
-	// remapPeriod transactions.
-	id           int
-	remapWindow  txstats.Sketch
-	txSinceRemap int
+	// thr is the worker's driver context: its placement identity, home
+	// shard and remap window, and its execution-mode controller
+	// (single-owner; disarmed under mode.Speculative it costs two
+	// branches per transaction).
+	thr txdriver.Thread
 }
-
-// remapPeriod is how many transactions a worker commits between
-// consecutive Rebalance offers to the placement policy. Large enough
-// that the policy sees a meaningful sketch window, small enough that a
-// shifted workload re-homes within tens of microseconds of work.
-const remapPeriod = 64
 
 // NewWorker creates a worker context for this runtime.
 func (rt *Runtime) NewWorker() *Worker {
-	w := &Worker{rt: rt, id: int(rt.workerIDs.Add(1) - 1)}
-	w.ctl = mode.NewController(rt.modeCfg)
+	w := &Worker{rt: rt}
+	rt.drv.Bind(&w.thr) // placement identities in creation order
 	w.tx.rt = rt
-	w.tx.home = int32(rt.placement.Home(w.id))
 	w.tx.owner = locktable.OwnerRef{
 		ThreadID:      -1,
 		CompletedTask: &completedZero,
@@ -531,14 +347,12 @@ func (rt *Runtime) NewWorker() *Worker {
 	}
 	// The baseline has no task pipeline and one transaction at a time
 	// per descriptor, so the per-transaction slots are bound once.
-	w.tx.owner.BindTx(0, &w.tx.abortTx, &w.tx.greedTS)
-	w.tx.cmSelf.Timestamp = &w.tx.greedTS
-	w.tx.cmSelf.Probe = &w.tx.cmProbe
-	w.tx.tr = txtrace.Nop
+	w.tx.owner.BindTx(0, &w.tx.abortTx, &w.tx.d.GreedTS)
+	tr := txtrace.Nop
 	if rt.trace != nil {
-		w.tx.tr = rt.trace.NewRing("stm-worker")
-		w.tx.traced = true
+		tr = rt.trace.NewRing("stm-worker")
 	}
+	w.tx.d.Init(&rt.drv, tr)
 	return w
 }
 
@@ -576,8 +390,8 @@ func (w *Worker) Close() {
 
 // Atomic runs fn as one transaction, retrying on conflict until it
 // commits. If st is non-nil, commit/abort counts and work units are
-// accumulated into it. fn must be re-executable: it may run several
-// times and must not perform external side effects.
+// accumulated into it (nil discards them). fn must be re-executable: it
+// may run several times and must not perform external side effects.
 //
 // This entry point borrows a pooled Worker per call; code with a
 // natural per-thread structure should create Workers directly.
@@ -603,221 +417,38 @@ func (rt *Runtime) AtomicRO(st *Stats, fn func(tx *Tx)) {
 	rt.workerPool.Put(w)
 }
 
-// atomic is the retry loop shared by both entry points.
+// atomic runs one transaction on the worker, folding its statistics
+// into st — or, for nil, into the worker's own shard, which a pooled
+// worker never reports.
 func (w *Worker) atomic(st *Stats, fn func(tx *Tx)) {
+	if st == nil {
+		st = &w.stats
+	}
 	tx := &w.tx
-	tx.greedTS.Store(0)
-	tx.cmSelf.Defeats = 0
-	tx.work = 0
-	tx.aborts = 0
-	tx.retryAborts = 0
-	tx.extends = 0
-	tx.sketch = txstats.Sketch{}
-	tx.crossShard = 0
 	tx.mvOn = tx.ro && tx.rt.mv != nil
-	tx.mvReads = 0
-	tx.mvMisses = 0
-	if tx.traced {
-		tx.tr.Record(txtrace.KindTxBegin, tx.rt.clk.Now(), 0, 0)
-	}
-	// Ladder: a serialized transaction takes the runtime gate before
-	// its first attempt (announcing itself so speculative wait loops
-	// yield) and runs the unchanged STM protocol under it — opacity by
-	// construction, serialization only against other fallback entrants.
-	serial := w.ctl.Serial()
-	if serial {
-		w.enterGate()
-	}
-	var lastAttempt time.Time
+	tx.d.Begin(&w.thr, &st.Counters)
 	for {
-		if tx.parkPending {
-			w.parkRetry(st, serial)
-		}
-		lastAttempt = time.Now()
-		tx.beginAttempt()
-		if tx.traced {
-			tx.tr.Record(txtrace.KindAttemptStart, tx.validTS, tx.aborts+1, 0)
-		}
+		tx.beginAttempt(tx.d.Next())
 		if tx.attempt(fn) {
 			break
 		}
-		if st != nil {
-			st.RestartLatency.Observe(int(time.Since(lastAttempt)))
-		}
-		tx.aborts++
-		if tx.parkPending {
-			// A Retry unwound this attempt; it parks at the top of the
-			// loop — no contention backoff, no escalation pressure.
-			tx.retryAborts++
-			continue
-		}
-		if !serial && w.ctl.Escalate(int(tx.aborts-tx.retryAborts)) {
-			// Attempt budget exhausted mid-transaction (TK_NUM_TRIES):
-			// move this transaction under the gate and retry there.
-			serial = true
-			if st != nil {
-				st.ModeFallbacks++
-			}
-			if tx.traced {
-				tx.tr.Record(txtrace.KindModeShift, tx.rt.clk.Now(),
-					uint64(mode.StateSerial), uint32(mode.StateSpec))
-			}
-			w.enterGate()
-			continue
-		}
-		if tx.gateYield {
-			// We aborted to let a gate entrant pass: back off SpinInit
-			// yields so the serialized cohort gets cycles first.
-			tx.gateYield = false
-			for i := 0; i < tx.rt.modeCfg.SpinInit; i++ {
-				runtime.Gosched()
-			}
-		}
-		// Back off per policy so the conflict window is not re-entered
-		// immediately (and, on a single CPU, so the lock owner we lost
-		// to gets scheduled before we re-acquire).
-		tx.cmSelf.Aborts = tx.aborts
-		for i, n := 0, cm.AbortBackoff(tx.rt.cm, &tx.cmSelf); i < n; i++ {
-			runtime.Gosched()
-		}
+		tx.d.Aborted()
 	}
-	if serial {
-		w.exitGate()
-	}
-	if fell, rec := w.ctl.OnOutcome(tx.aborts-tx.retryAborts, tx.cmSelf.Defeats > 0); fell || rec {
-		if st != nil {
-			if fell {
-				st.ModeFallbacks++
-			} else {
-				st.ModeRecoveries++
-			}
-		}
-		if tx.traced {
-			tx.tr.Record(txtrace.KindModeShift, tx.rt.clk.Now(),
-				uint64(w.ctl.State()), uint32(1-w.ctl.State()))
-		}
-	}
-	cm.Committed(tx.rt.cm, &tx.cmSelf)
-	cmSelf, cmOwner, spins := tx.cmProbe.TakeCounts()
 	reclaims, stalls := tx.writeLog.TakeReclaimCounts()
-	if st != nil {
-		st.Commits++
-		st.Aborts += tx.aborts
-		st.Work += tx.work
-		st.SnapshotExtensions += tx.extends
-		st.ClockCASRetries += tx.clkProbe.TakeRetries()
-		st.CMAbortsSelf += cmSelf
-		st.CMAbortsOwner += cmOwner
-		st.BackoffSpins += spins
-		st.EntryReclaims += reclaims
-		st.HorizonStalls += stalls
-		st.MVReads += tx.mvReads
-		st.MVMisses += tx.mvMisses
-		st.ReadSetSizes.Observe(tx.readLog.Len())
-		st.WriteSetSizes.Observe(tx.writeLog.Len())
-		st.CommitLatency.Observe(int(time.Since(lastAttempt)))
-		st.Attempts.Observe(int(tx.aborts) + 1)
-		st.ConflictSketch.Merge(tx.sketch)
-		st.CrossShardConflicts += tx.crossShard
-	}
-	w.maybeRemap(st)
+	st.EntryReclaims += reclaims
+	st.HorizonStalls += stalls
+	tx.d.Committed(tx.readLog.Len(), tx.writeLog.Len())
+	st.Commits++
+	st.Aborts += tx.d.Aborts
 }
 
-// enterGate moves the worker's transaction under the serialized
-// fallback gate. The baseline has no speculative pipeline of its own to
-// drain — the in-flight attempt (if any) has already unwound — so
-// announcing and locking is the whole entry protocol.
-func (w *Worker) enterGate() {
-	w.rt.gate.Enter()
-	w.tx.inSerial = true
-}
-
-func (w *Worker) exitGate() {
-	w.tx.inSerial = false
-	w.rt.gate.Exit()
-}
-
-// parkRetry blocks the worker on its Retry doorbell until a
-// conflicting commit rings it. A serialized transaction releases the
-// gate across the park (parking while holding it would block every
-// fallback entrant, possibly including the very producer it waits for)
-// and re-enters afterwards.
-func (w *Worker) parkRetry(st *Stats, serial bool) {
-	tx := &w.tx
-	tx.parkPending = false
-	if tx.traced {
-		tx.tr.Record(txtrace.KindRetryPark, tx.rt.clk.Now(), tx.parkFP, 0)
-	}
-	if serial {
-		w.exitGate()
-	}
-	tx.waiter.Park()
-	tx.rt.hub.Unsubscribe(&tx.waiter)
-	if serial {
-		w.enterGate()
-	}
-	if st != nil {
-		st.RetryWakes++
-	}
-	if tx.traced {
-		tx.tr.Record(txtrace.KindRetryPark, tx.rt.clk.Now(), tx.parkFP, 1)
-	}
-}
-
-// maybeRemap is the commit-epilogue placement step: every remapPeriod
-// transactions the worker offers its conflict-sketch window to the
-// placement policy and refreshes its home shard. Runs on the worker's
-// own goroutine — the "periodic controller" is decentralized, like the
-// sharded clock's Observe reconciliation.
-func (w *Worker) maybeRemap(st *Stats) {
-	w.remapWindow.Merge(w.tx.sketch)
-	w.txSinceRemap++
-	if w.txSinceRemap < remapPeriod {
-		return
-	}
-	w.txSinceRemap = 0
-	moved := w.rt.placement.Rebalance(w.id, w.remapWindow)
-	w.remapWindow = txstats.Sketch{}
-	if moved {
-		old := w.tx.home
-		w.tx.home = int32(w.rt.placement.Home(w.id))
-		if st != nil {
-			st.Remaps++
-		}
-		if w.tx.traced {
-			w.tx.tr.Record(txtrace.KindRemap, w.rt.clk.Now(),
-				uint64(w.tx.home), uint32(old))
-		}
-	}
-}
-
-// noteConflict attributes one abort or CM defeat at address a to its
-// lock-table shard (cold path: runs only when an attempt dies).
-func (tx *Tx) noteConflict(a tm.Addr) {
-	shard := tx.rt.locks.ShardOf(a)
-	tx.sketch.Observe(shard)
-	if int32(shard) != tx.home {
-		tx.crossShard++
-	}
-}
-
-// noteConflictPair is noteConflict for sites that hold only the *Pair
-// recorded in a read-log entry (commit validation).
-func (tx *Tx) noteConflictPair(p *locktable.Pair) {
-	shard := tx.rt.locks.ShardOfPair(p)
-	tx.sketch.Observe(shard)
-	if int32(shard) != tx.home {
-		tx.crossShard++
-	}
-}
-
-// beginAttempt resets the descriptor for one attempt. Entries retired
-// by the previous attempt (or previous transaction) are detached from
-// the lock table by then, so they are recycled into the entry pool.
-func (tx *Tx) beginAttempt() {
+// beginAttempt resets the descriptor for one attempt at snapshot ts.
+// Entries retired by the previous attempt (or previous transaction) are
+// detached from the lock table by then, so they are recycled into the
+// entry pool.
+func (tx *Tx) beginAttempt(ts uint64) {
 	tx.abortTx.Store(false)
-	tx.validTS = tx.rt.clk.Now()
-	tx.work += txStartCost
+	tx.validTS = ts
 	tx.readLog.Reset()
 	tx.writeLog.Recycle()
 	tx.allocs = tx.allocs[:0]
@@ -859,8 +490,8 @@ func (tx *Tx) rollback() {
 
 // abort records the rollback's reason on the trace and unwinds.
 func (tx *Tx) abort(reason uint32) {
-	if tx.traced {
-		tx.tr.Record(txtrace.KindAbort, tx.validTS, 0, reason)
+	if tx.d.Traced {
+		tx.d.Tr.Record(txtrace.KindAbort, tx.validTS, 0, reason)
 	}
 	tx.rollback()
 }
@@ -886,7 +517,7 @@ func (tx *Tx) Load(a tm.Addr) uint64 {
 	if tx.mvOn {
 		return tx.loadMV(a)
 	}
-	tx.tick(1)
+	tx.d.Tick(1)
 	p := tx.rt.locks.For(a)
 	if e := p.W.Load(); e != nil && e.Owner == &tx.owner {
 		if v, hit := e.Lookup(a); hit {
@@ -913,7 +544,7 @@ func (tx *Tx) loadCommitted(p *locktable.Pair, a tm.Addr) uint64 {
 		}
 		if v1 > tx.validTS {
 			if !tx.extendTo(v1) {
-				tx.noteConflict(a)
+				tx.d.Conflict(tx.rt.locks.ShardOf(a))
 				tx.abort(txtrace.AbortExtend)
 			}
 			// Re-read: val predates the extension's clock sample, and a
@@ -923,8 +554,8 @@ func (tx *Tx) loadCommitted(p *locktable.Pair, a tm.Addr) uint64 {
 			continue
 		}
 		tx.readLog.Append(p, v1, nil)
-		if tx.traced {
-			tx.tr.Record(txtrace.KindRead, v1, uint64(a), 0)
+		if tx.d.Traced {
+			tx.d.Tr.Record(txtrace.KindRead, v1, uint64(a), 0)
 		}
 		return val
 	}
@@ -939,27 +570,27 @@ func (tx *Tx) loadCommitted(p *locktable.Pair, a tm.Addr) uint64 {
 // snapshot cannot be extended in place, because the reads taken so far
 // were unlogged and could not be revalidated forward.
 func (tx *Tx) loadMV(a tm.Addr) uint64 {
-	tx.tick(1)
+	tx.d.Tick(1)
 	p := tx.rt.locks.For(a)
 	for {
 		v1 := p.R.Load()
 		if v1 != locktable.Locked && v1 <= tx.validTS {
 			val := tx.rt.store.LoadWord(a)
 			if p.R.Load() == v1 {
-				tx.mvReads++
-				if tx.traced {
-					tx.tr.Record(txtrace.KindRead, v1, uint64(a), 1)
+				tx.d.MVReads++
+				if tx.d.Traced {
+					tx.d.Tr.Record(txtrace.KindRead, v1, uint64(a), 1)
 				}
 				return val
 			}
 			continue // torn read: version moved underneath us
 		}
 		if val, from, ok := tx.rt.mv.ReadAt(a, tx.validTS); ok {
-			tx.mvReads++
-			if tx.traced {
+			tx.d.MVReads++
+			if tx.d.Traced {
 				// Clock carries the served version's birth stamp, not the
 				// snapshot: the opacity checker needs the observed version.
-				tx.tr.Record(txtrace.KindRead, from, uint64(a), 1)
+				tx.d.Tr.Record(txtrace.KindRead, from, uint64(a), 1)
 			}
 			return val
 		}
@@ -969,7 +600,7 @@ func (tx *Tx) loadMV(a tm.Addr) uint64 {
 			runtime.Gosched()
 			continue
 		}
-		tx.mvMisses++
+		tx.d.MVMisses++
 		tx.mvOn = false
 		tx.abort(txtrace.AbortSpec)
 	}
@@ -984,10 +615,10 @@ func (tx *Tx) extend() bool { return tx.extendTo(0) }
 // without it a deferred or sharded clock would never catch up to the
 // stamp that sent us here and the read would livelock).
 func (tx *Tx) extendTo(witness uint64) bool {
-	ts := tx.rt.clk.Observe(witness, &tx.clkProbe)
+	ts := tx.rt.clk.Observe(witness, &tx.d.ClkProbe)
 	for i, re := range tx.readLog.Entries() {
-		if i%validationStride == 0 {
-			tx.work++
+		if i%txdriver.ValidationStride == 0 {
+			tx.d.Work++
 		}
 		cur := re.Pair.R.Load()
 		if cur == re.Version {
@@ -1001,15 +632,15 @@ func (tx *Tx) extendTo(witness uint64) bool {
 		// snapshot past the conflicting commit and keep running on a
 		// mixed read set until commit-time validation — the opacity
 		// violation the trace checker flagged under high contention.
-		if tx.traced {
-			tx.tr.Record(txtrace.KindExtend, ts, witness, 0)
+		if tx.d.Traced {
+			tx.d.Tr.Record(txtrace.KindExtend, ts, witness, 0)
 		}
 		return false
 	}
 	if ts > tx.validTS {
-		tx.extends++
-		if tx.traced {
-			tx.tr.Record(txtrace.KindExtend, ts, witness, 1)
+		tx.d.Extends++
+		if tx.d.Traced {
+			tx.d.Tr.Record(txtrace.KindExtend, ts, witness, 1)
 		}
 	}
 	tx.validTS = ts
@@ -1026,7 +657,7 @@ func (tx *Tx) Store(a tm.Addr, v uint64) {
 		tx.mvOn = false
 		tx.abort(txtrace.AbortSpec)
 	}
-	tx.tick(2)
+	tx.d.Tick(2)
 	p := tx.rt.locks.For(a)
 	waited := 0
 	for {
@@ -1037,37 +668,21 @@ func (tx *Tx) Store(a tm.Addr, v uint64) {
 				e.Update(a, v)
 				return
 			}
-			tx.cmSelf.Point = cm.PointEncounter
-			tx.cmSelf.Writes = tx.writeLog.Len()
-			tx.cmSelf.Waited = waited
-			dec := cm.Resolve(tx.rt.cm, &tx.cmSelf, e.Owner)
-			if tx.traced {
-				tx.tr.Record(txtrace.KindCMDecision, tx.validTS, uint64(a),
-					txtrace.CMAux(int(dec), int(cm.PointEncounter)))
-			}
-			switch dec {
+			switch tx.d.Resolve(cm.PointEncounter, a, e.Owner, tx.writeLog.Len(), waited, tx.validTS) {
 			case cm.AbortSelf:
-				tx.cmSelf.Defeats++
-				tx.noteConflict(a)
+				tx.d.Defeat(tx.rt.locks.ShardOf(a))
 				tx.abort(txtrace.AbortCM)
 			case cm.AbortOwner:
 				e.Owner.AbortTx.Load().Store(true)
 			}
-			if !tx.inSerial && tx.rt.gate.Pending() {
-				// A serialized entrant holds or awaits the gate: riding
-				// this conflict out could deadlock against it (the owner
-				// may be parked behind the same gate). Yield instead —
-				// the retry loop charges SpinInit backoff first.
-				tx.cmSelf.Defeats++
-				tx.gateYield = true
-				tx.noteConflict(a)
+			if tx.d.YieldToGate(tx.rt.locks.ShardOf(a)) {
 				tx.abort(txtrace.AbortCM)
 			}
 			// AbortOwner and Wait both ride the conflict out for a
 			// round; waiting costs real parallel time (the owner
 			// progresses about one quantum per scheduler round).
 			waited++
-			tx.work += yieldQuantum
+			tx.d.Work += txdriver.YieldQuantum
 			runtime.Gosched()
 			continue
 		}
@@ -1078,13 +693,13 @@ func (tx *Tx) Store(a tm.Addr, v uint64) {
 		}
 		tx.writeLog.Release(ne) // CAS lost; recycle the unused entry
 	}
-	if tx.traced {
-		tx.tr.Record(txtrace.KindWrite, tx.validTS, uint64(a), 0)
+	if tx.d.Traced {
+		tx.d.Tr.Record(txtrace.KindWrite, tx.validTS, uint64(a), 0)
 	}
 	// Mirror of TLSTM Alg. 2 line 52: if the location moved past our
 	// snapshot, extend or die.
 	if ver := p.R.Load(); ver != locktable.Locked && ver > tx.validTS && !tx.extendTo(ver) {
-		tx.noteConflict(a)
+		tx.d.Conflict(tx.rt.locks.ShardOf(a))
 		tx.abort(txtrace.AbortExtend)
 	}
 }
@@ -1114,9 +729,7 @@ func (tx *Tx) Retry() {
 	for _, re := range tx.readLog.Entries() {
 		fp = mode.FPAdd(fp, uintptr(unsafe.Pointer(re.Pair)))
 	}
-	if fp != 0 {
-		hub := tx.rt.hub
-		hub.Subscribe(&tx.waiter, fp)
+	if tx.d.Subscribe(fp) {
 		valid := true
 		for _, re := range tx.readLog.Entries() {
 			if re.Pair.R.Load() != re.Version {
@@ -1124,19 +737,14 @@ func (tx *Tx) Retry() {
 				break
 			}
 		}
-		if valid {
-			tx.parkPending = true
-			tx.parkFP = uint64(fp)
-		} else {
-			hub.Unsubscribe(&tx.waiter)
-		}
+		tx.d.Settle(valid)
 	}
 	tx.abort(txtrace.AbortRetry)
 }
 
 // Alloc implements tm.Tx: allocation is undone if the attempt aborts.
 func (tx *Tx) Alloc(n int) tm.Addr {
-	tx.work++
+	tx.d.Work++
 	a := tx.rt.alloc.Alloc(n)
 	tx.allocs = append(tx.allocs, a)
 	return a
@@ -1153,8 +761,8 @@ func (tx *Tx) commit() {
 		// Read-only transactions are consistent by construction at
 		// valid-ts; nothing to publish.
 		tx.applyFrees()
-		if tx.traced {
-			tx.tr.Record(txtrace.KindCommit, tx.validTS, 0, 0)
+		if tx.d.Traced {
+			tx.d.Tr.Record(txtrace.KindCommit, tx.validTS, 0, 0)
 		}
 		return
 	}
@@ -1167,22 +775,22 @@ func (tx *Tx) commit() {
 	tx.scratch.Reset()
 	for _, e := range tx.writeLog.Entries() {
 		tx.scratch.LockPair(e.Pair)
-		tx.work++
+		tx.d.Work++
 	}
 
-	ts := tx.rt.clk.Tick(&tx.clkProbe)
+	ts := tx.rt.clk.Tick(&tx.d.ClkProbe)
 
 	failed := tx.validateCommit()
-	if tx.traced {
+	if tx.d.Traced {
 		var aux uint32
 		if failed == nil {
 			aux = 1
 		}
-		tx.tr.Record(txtrace.KindValidate, ts, uint64(tx.readLog.Len()), aux)
+		tx.d.Tr.Record(txtrace.KindValidate, ts, uint64(tx.readLog.Len()), aux)
 	}
 	if failed != nil {
 		tx.scratch.Restore()
-		tx.noteConflictPair(failed)
+		tx.d.Conflict(tx.rt.locks.ShardOfPair(failed))
 		tx.abort(txtrace.AbortValidation)
 	}
 
@@ -1202,13 +810,13 @@ func (tx *Tx) commit() {
 	for _, e := range tx.writeLog.Entries() {
 		for _, w := range e.Words {
 			tx.rt.store.StoreWord(w.Addr, w.Val)
-			if tx.traced {
+			if tx.d.Traced {
 				// Written-word identities, between Validate and Commit:
 				// the opacity checker rebuilds per-slot version
 				// histories from these.
-				tx.tr.Record(txtrace.KindCommitWord, ts, uint64(w.Addr), 0)
+				tx.d.Tr.Record(txtrace.KindCommitWord, ts, uint64(w.Addr), 0)
 			}
-			tx.work++
+			tx.d.Work++
 		}
 	}
 	for _, e := range tx.writeLog.Entries() {
@@ -1218,7 +826,7 @@ func (tx *Tx) commit() {
 	// Ring Retry waiters whose read fingerprints intersect this write
 	// set. The fast path (no waiters) is one atomic load; the
 	// fingerprint is only computed when someone is parked.
-	if hub := tx.rt.hub; hub.Active() {
+	if hub := tx.rt.drv.Hub; hub.Active() {
 		var fp mode.Fingerprint
 		for _, e := range tx.writeLog.Entries() {
 			fp = mode.FPAdd(fp, uintptr(unsafe.Pointer(e.Pair)))
@@ -1226,8 +834,8 @@ func (tx *Tx) commit() {
 		hub.Notify(fp)
 	}
 	tx.applyFrees()
-	if tx.traced {
-		tx.tr.Record(txtrace.KindCommit, ts, uint64(tx.writeLog.Len()), 0)
+	if tx.d.Traced {
+		tx.d.Tr.Record(txtrace.KindCommit, ts, uint64(tx.writeLog.Len()), 0)
 	}
 }
 
@@ -1238,8 +846,8 @@ func (tx *Tx) commit() {
 // whole read set is still consistent.
 func (tx *Tx) validateCommit() *locktable.Pair {
 	for i, re := range tx.readLog.Entries() {
-		if i%validationStride == 0 {
-			tx.work++
+		if i%txdriver.ValidationStride == 0 {
+			tx.d.Work++
 		}
 		cur := re.Pair.R.Load()
 		if cur == re.Version {

@@ -29,7 +29,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 	"unsafe"
 
 	"tlstm/internal/clock"
@@ -37,8 +36,8 @@ import (
 	"tlstm/internal/locktable"
 	"tlstm/internal/mem"
 	"tlstm/internal/mode"
-	"tlstm/internal/sched"
 	"tlstm/internal/tm"
+	"tlstm/internal/txdriver"
 	"tlstm/internal/txlog"
 	"tlstm/internal/txstats"
 	"tlstm/internal/txtrace"
@@ -46,14 +45,6 @@ import (
 
 // Locked marks a versioned lock held by a committing transaction.
 const locked = ^uint64(0)
-
-// yieldQuantum mirrors the other runtimes' forced-interleaving grain so
-// cross-runtime virtual-time comparisons stay meaningful.
-const yieldQuantum = 64
-
-const txStartCost = 24
-
-const validationStride = 8
 
 // Option configures a Runtime.
 type Option func(*Runtime)
@@ -122,18 +113,15 @@ type Runtime struct {
 	clk       clock.Source // global version clock
 	exclusive bool         // cached clk.Exclusive() (commit fast path)
 
-	cmPol cm.Policy // contention-management policy (conflict paths only)
-
 	locks  []atomic.Uint64  // versioned write-locks (version or locked)
 	layout locktable.Layout // address→lock→shard mapping (shared geometry)
 
-	// shards/affinity are config captured by options; placement is the
-	// resulting thread→shard policy. threadIDs hands each caller-owned
-	// Stats shard a placement identity on first use.
-	shards    int
-	affinity  bool
-	placement sched.Placement
-	threadIDs atomic.Int32
+	// cmPol, shards, affinity and modeCfg are config captured by options
+	// and handed to the driver.
+	cmPol    cm.Policy
+	shards   int
+	affinity bool
+	modeCfg  mode.Config
 
 	// mv, when non-nil, is the multi-version word store declared
 	// read-only transactions read from without validating.
@@ -143,13 +131,12 @@ type Runtime struct {
 	// register their event rings with (WithTrace).
 	trace *txtrace.Recorder
 
-	// modeCfg/gate/hub are the execution-mode ladder (WithMode): the
-	// gate serializes fallback entrants, the hub parks Retry waiters.
-	modeCfg mode.Config
-	gate    mode.Gate
-	hub     *mode.WaitHub
+	// drv is the shared retry-loop driver: contention manager, mode
+	// ladder, Retry hub and thread placement.
+	drv txdriver.Driver
 
-	txPool sync.Pool // *Tx descriptors, reused across Atomic calls
+	txPool    sync.Pool // *Tx descriptors, reused across Atomic calls
+	statsPool sync.Pool // *Stats thread contexts for Atomic(nil, fn)
 }
 
 // New creates a TL2 runtime with 2^bits versioned locks.
@@ -165,21 +152,15 @@ func New(bits int, opts ...Option) *Runtime {
 	for _, o := range opts {
 		o(rt)
 	}
-	rt.modeCfg = rt.modeCfg.Fill()
-	rt.hub = mode.NewWaitHub()
 	rt.layout = locktable.NewLayout(bits, rt.shards)
 	rt.locks = make([]atomic.Uint64, rt.layout.Slots())
-	if rt.affinity {
-		rt.placement = sched.NewAffinity(rt.layout.Shards())
-	} else {
-		rt.placement = sched.NewRoundRobin(rt.layout.Shards())
-	}
 	if rt.clk == nil {
 		rt.clk = clock.New(clock.KindGV4)
 	}
 	if rt.cmPol == nil {
 		rt.cmPol = cm.New(cm.KindSuicide)
 	}
+	rt.drv.Init(rt.clk, rt.cmPol, rt.modeCfg, rt.layout.Shards(), rt.affinity)
 	rt.exclusive = rt.clk.Exclusive()
 	if rt.trace != nil {
 		// The offline opacity checker recomputes lock-table slots and
@@ -200,7 +181,7 @@ func New(bits int, opts ...Option) *Runtime {
 func (rt *Runtime) Shards() int { return rt.layout.Shards() }
 
 // PlacementName reports the thread-placement policy in use.
-func (rt *Runtime) PlacementName() string { return rt.placement.Name() }
+func (rt *Runtime) PlacementName() string { return rt.drv.PlacementName() }
 
 // MVDepth reports the retained version depth (0 when multi-versioning
 // is off).
@@ -215,7 +196,7 @@ func (rt *Runtime) MVDepth() int {
 func (rt *Runtime) ClockName() string { return rt.clk.Name() }
 
 // CMName reports the contention-management policy this runtime uses.
-func (rt *Runtime) CMName() string { return rt.cmPol.Name() }
+func (rt *Runtime) CMName() string { return rt.drv.CM().Name() }
 
 // Direct returns the non-transactional setup handle.
 func (rt *Runtime) Direct() mem.Direct { return mem.Direct{Mem: rt.store, Al: rt.alloc} }
@@ -236,102 +217,29 @@ func (rt *Runtime) lockShard(l *atomic.Uint64) int {
 	return rt.layout.ShardOfIndex(uint64(idx))
 }
 
-// Stats accumulates commits, aborts and work units across Atomic calls.
+// Stats accumulates one logical thread's statistics across Atomic
+// calls. SnapshotExtensions is always 0 for TL2 (it aborts on a read
+// past its read version instead of extending), and so are
+// EntryReclaims and HorizonStalls (its write set buffers records in
+// place; there are no lock-table entries to reclaim).
+//
+// TL2 has no thread descriptor (Tx descriptors are pooled per runtime,
+// not per caller), so the caller-owned Stats shard IS the logical
+// thread: it carries the driver's thread context — placement identity
+// and mode controller — touched only by the owning goroutine.
 type Stats struct {
 	Commits uint64
 	Aborts  uint64
-	Work    uint64
-	// SnapshotExtensions is always 0 for TL2: the algorithm aborts on a
-	// read past its read version instead of extending. The field exists
-	// so clock-strategy sweeps report a uniform column across runtimes.
-	SnapshotExtensions uint64
-	// ClockCASRetries counts failed CASes inside commit-clock
-	// operations (internal/clock.Probe).
-	ClockCASRetries uint64
-	// CMAbortsSelf counts lost conflicts (one AbortSelf decision
-	// each); CMAbortsOwner counts AbortOwner decisions against the
-	// (anonymous) owner, one per waiting round; BackoffSpins counts
-	// the scheduler yields the policy charged between retries
-	// (internal/cm.Probe).
-	CMAbortsSelf  uint64
-	CMAbortsOwner uint64
-	BackoffSpins  uint64
-	// EntryReclaims and HorizonStalls are always 0 for TL2: its write
-	// set buffers (addr, value) records in place rather than pooling
-	// lock-table entries, so there is nothing to reclaim. The fields
-	// exist so reclamation sweeps report a uniform column across
-	// runtimes.
-	EntryReclaims uint64
-	HorizonStalls uint64
-	// MVReads counts reads served on the multi-version wait-free path;
-	// MVMisses counts read-only transactions that fell off it (ring
-	// overrun or an undeclared write) and re-ran validated. For TL2 the
-	// path also removes the read-past-rv abort for declared readers.
-	MVReads  uint64
-	MVMisses uint64
-	// ReadSetSizes and WriteSetSizes histogram the per-committed-
-	// transaction set sizes (logged locks / buffered addresses).
-	ReadSetSizes  txstats.Hist
-	WriteSetSizes txstats.Hist
-	// RestartLatency histograms attempt-start → abort deltas in
-	// nanoseconds; CommitLatency histograms attempt-start → commit
-	// deltas for the final attempt; Attempts histograms attempts per
-	// committed transaction (1 = committed first try).
-	RestartLatency txstats.Hist
-	CommitLatency  txstats.Hist
-	Attempts       txstats.Hist
-	// ConflictSketch counts aborts and CM defeats per lock-array shard;
-	// CrossShardConflicts counts the subset outside the thread's home
-	// shard; Remaps counts placement rebinds.
-	ConflictSketch      txstats.Sketch
-	CrossShardConflicts uint64
-	Remaps              uint64
-	// ModeFallbacks counts speculative→serialized ladder transitions
-	// (mid-transaction escalations included) and ModeRecoveries the
-	// returns to speculation; RetryWakes counts Retry parks woken by a
-	// conflicting commit's doorbell.
-	ModeFallbacks  uint64
-	ModeRecoveries uint64
-	RetryWakes     uint64
+	txstats.Counters
 
-	// TL2 has no thread descriptor (Tx descriptors are pooled per
-	// runtime, not per caller), so the caller-owned Stats shard IS the
-	// logical thread: its placement identity lives here, assigned on
-	// the shard's first transaction and touched only by the owning
-	// goroutine — as is the execution-mode controller.
-	bound        bool
-	threadID     int32
-	home         int32
-	txSinceRemap int
-	remapWindow  txstats.Sketch
-	ctl          mode.Controller
+	thr txdriver.Thread
 }
 
-// Add folds o into s.
+// Add folds o's counters into s.
 func (s *Stats) Add(o Stats) {
 	s.Commits += o.Commits
 	s.Aborts += o.Aborts
-	s.Work += o.Work
-	s.SnapshotExtensions += o.SnapshotExtensions
-	s.ClockCASRetries += o.ClockCASRetries
-	s.CMAbortsSelf += o.CMAbortsSelf
-	s.CMAbortsOwner += o.CMAbortsOwner
-	s.BackoffSpins += o.BackoffSpins
-	s.EntryReclaims += o.EntryReclaims
-	s.HorizonStalls += o.HorizonStalls
-	s.MVReads += o.MVReads
-	s.MVMisses += o.MVMisses
-	s.ReadSetSizes.Merge(o.ReadSetSizes)
-	s.WriteSetSizes.Merge(o.WriteSetSizes)
-	s.RestartLatency.Merge(o.RestartLatency)
-	s.CommitLatency.Merge(o.CommitLatency)
-	s.Attempts.Merge(o.Attempts)
-	s.ConflictSketch.Merge(o.ConflictSketch)
-	s.CrossShardConflicts += o.CrossShardConflicts
-	s.Remaps += o.Remaps
-	s.ModeFallbacks += o.ModeFallbacks
-	s.ModeRecoveries += o.ModeRecoveries
-	s.RetryWakes += o.RetryWakes
+	s.Counters.Add(o.Counters)
 }
 
 type rollbackSignal struct{}
@@ -353,64 +261,24 @@ type Tx struct {
 	allocs []tm.Addr
 	frees  []tm.Addr
 
-	work   uint64
-	aborts uint64
-
-	// home is the calling thread's home shard for this transaction;
-	// sketch/crossShard attribute its aborts and CM defeats to shards.
-	// Per-transaction, folded into the caller's Stats after commit.
-	home       int32
-	sketch     txstats.Sketch
-	crossShard uint64
+	// d is the driver's half of the descriptor: attempt bookkeeping,
+	// contention-management identity, clock probe and tracer.
+	d txdriver.Desc
 
 	// ro marks a transaction declared read-only (AtomicRO); mvOn is
 	// true while it runs the multi-version wait-free read path. A miss
 	// clears mvOn for the rest of the transaction and re-runs it
 	// validated — never an error.
-	ro       bool
-	mvOn     bool
-	mvReads  uint64
-	mvMisses uint64
-
-	// clkProbe accumulates clock CAS retries (and pins this descriptor
-	// to a shard under the sharded strategy).
-	clkProbe clock.Probe
-
-	// cmSelf/cmProbe are the descriptor's contention-management
-	// identity and counters (internal/cm); greedTS is the priority slot
-	// policies publish into (TL2's locks carry no owner header, so no
-	// other transaction ever reads it — it still lets priority-based
-	// policies track their own escalation state).
-	cmSelf  cm.Self
-	cmProbe cm.Probe
-	greedTS atomic.Uint64
-
-	// inSerial marks a transaction running under the ladder's
-	// serialized gate (exempt from the gate-yield wait-loop breaks);
-	// gateYield asks the retry loop for one SpinInit backoff after an
-	// abort taken to let a gate entrant pass.
-	inSerial  bool
-	gateYield bool
-
-	// waiter/parkPending/parkFP are the Retry cond-var state: Retry
-	// subscribes the read-set fingerprint and sets parkPending; the
-	// retry loop parks before the next attempt. retryAborts counts
-	// Retry unwinds, excluded from the ladder's escalation signals.
-	waiter      mode.Waiter
-	parkPending bool
-	parkFP      uint64
-	retryAborts uint64
-
-	// tr is this descriptor's flight recorder (txtrace.Nop by default);
-	// traced caches tr.Enabled() so the disabled hot path costs one
-	// predicted branch instead of an interface call per operation.
-	tr     txtrace.Tracer
-	traced bool
+	ro   bool
+	mvOn bool
 }
 
 var _ tm.Tx = (*Tx)(nil)
 
-// Atomic runs fn as one transaction, retrying until commit.
+// Atomic runs fn as one transaction, retrying until commit. st is the
+// calling logical thread: its counters and its driver context (mode
+// ladder, placement). A nil st borrows a pooled context whose counters
+// are discarded.
 func (rt *Runtime) Atomic(st *Stats, fn func(tx *Tx)) {
 	rt.run(st, fn, false)
 }
@@ -429,225 +297,47 @@ func (rt *Runtime) run(st *Stats, fn func(tx *Tx), ro bool) {
 	tx, _ := rt.txPool.Get().(*Tx)
 	if tx == nil {
 		tx = &Tx{rt: rt}
-		tx.cmSelf.Timestamp = &tx.greedTS
-		tx.cmSelf.Probe = &tx.cmProbe
-		tx.tr = txtrace.Nop
+		tr := txtrace.Nop
 		if rt.trace != nil {
-			tx.tr = rt.trace.NewRing("tl2-tx")
-			tx.traced = true
+			tr = rt.trace.NewRing("tl2-tx")
+		}
+		tx.d.Init(&rt.drv, tr)
+	}
+	scratch := st == nil
+	if scratch {
+		st, _ = rt.statsPool.Get().(*Stats)
+		if st == nil {
+			st = new(Stats)
 		}
 	}
-	tx.work = 0
-	tx.aborts = 0
-	tx.retryAborts = 0
-	tx.gateYield = false
-	tx.greedTS.Store(0)
-	tx.cmSelf.Defeats = 0
 	tx.ro = ro
 	tx.mvOn = ro && rt.mv != nil
-	tx.mvReads = 0
-	tx.mvMisses = 0
-	tx.sketch = txstats.Sketch{}
-	tx.crossShard = 0
-	tx.home = 0
-	if st != nil {
-		if !st.bound {
-			st.bound = true
-			st.threadID = rt.threadIDs.Add(1) - 1
-			st.home = int32(rt.placement.Home(int(st.threadID)))
-			st.ctl = mode.NewController(rt.modeCfg)
-		}
-		tx.home = st.home
-	}
-	if tx.traced {
-		tx.tr.Record(txtrace.KindTxBegin, rt.clk.Now(), 0, 0)
-	}
-	// Ladder: a serialized transaction takes the runtime gate before
-	// its first attempt (announcing itself so speculative wait loops
-	// yield) and runs the unchanged TL2 protocol under it — opacity by
-	// construction, serialization only against other fallback entrants.
-	serial := st != nil && st.ctl.Serial()
-	if serial {
-		tx.enterGate()
-	}
-	var lastAttempt time.Time
+	tx.d.Begin(&st.thr, &st.Counters)
 	for {
-		if tx.parkPending {
-			tx.parkRetry(st, serial)
-		}
-		lastAttempt = time.Now()
-		tx.rv = rt.clk.Now()
-		tx.readLog.Reset()
-		tx.writeSet.Reset()
-		tx.held.Reset()
-		tx.allocs = tx.allocs[:0]
-		tx.frees = tx.frees[:0]
-		tx.work += txStartCost
-		if tx.traced {
-			tx.tr.Record(txtrace.KindAttemptStart, tx.rv, tx.aborts+1, 0)
-		}
-
+		tx.begin(tx.d.Next())
 		if tx.attempt(fn) {
 			break
 		}
-		if st != nil {
-			st.RestartLatency.Observe(int(time.Since(lastAttempt)))
-		}
-		tx.aborts++
-		if tx.parkPending {
-			// A Retry unwound this attempt; it parks at the top of the
-			// loop — no contention backoff, no escalation pressure.
-			tx.retryAborts++
-			continue
-		}
-		if !serial && st != nil && st.ctl.Escalate(int(tx.aborts-tx.retryAborts)) {
-			// Attempt budget exhausted mid-transaction (TK_NUM_TRIES):
-			// move this transaction under the gate and retry there.
-			serial = true
-			st.ModeFallbacks++
-			if tx.traced {
-				tx.tr.Record(txtrace.KindModeShift, rt.clk.Now(),
-					uint64(mode.StateSerial), uint32(mode.StateSpec))
-			}
-			tx.enterGate()
-			continue
-		}
-		if tx.gateYield {
-			// We aborted to let a gate entrant pass: back off SpinInit
-			// yields so the serialized cohort gets cycles first.
-			tx.gateYield = false
-			for i := 0; i < rt.modeCfg.SpinInit; i++ {
-				runtime.Gosched()
-			}
-		}
-		tx.cmSelf.Aborts = tx.aborts
-		for i, n := 0, cm.AbortBackoff(rt.cmPol, &tx.cmSelf); i < n; i++ {
-			runtime.Gosched()
-		}
+		tx.d.Aborted()
 	}
-	if serial {
-		tx.exitGate()
-	}
-	if st != nil {
-		if fell, rec := st.ctl.OnOutcome(tx.aborts-tx.retryAborts, tx.cmSelf.Defeats > 0); fell || rec {
-			if fell {
-				st.ModeFallbacks++
-			} else {
-				st.ModeRecoveries++
-			}
-			if tx.traced {
-				tx.tr.Record(txtrace.KindModeShift, rt.clk.Now(),
-					uint64(st.ctl.State()), uint32(1-st.ctl.State()))
-			}
-		}
-	}
-	cm.Committed(rt.cmPol, &tx.cmSelf)
-	cmSelf, cmOwner, spins := tx.cmProbe.TakeCounts()
-	if st != nil {
-		st.Commits++
-		st.Aborts += tx.aborts
-		st.Work += tx.work
-		st.ClockCASRetries += tx.clkProbe.TakeRetries()
-		st.CMAbortsSelf += cmSelf
-		st.CMAbortsOwner += cmOwner
-		st.BackoffSpins += spins
-		st.MVReads += tx.mvReads
-		st.MVMisses += tx.mvMisses
-		st.ReadSetSizes.Observe(tx.readLog.Len())
-		st.WriteSetSizes.Observe(tx.writeSet.Len())
-		st.CommitLatency.Observe(int(time.Since(lastAttempt)))
-		st.Attempts.Observe(int(tx.aborts) + 1)
-		st.ConflictSketch.Merge(tx.sketch)
-		st.CrossShardConflicts += tx.crossShard
-		rt.maybeRemap(st, tx)
-	}
+	tx.d.Committed(tx.readLog.Len(), tx.writeSet.Len())
+	st.Commits++
+	st.Aborts += tx.d.Aborts
 	tx.ro = false
 	rt.txPool.Put(tx)
-}
-
-// enterGate moves the transaction under the serialized rung: pending
-// is raised before the lock is contended so speculative wait loops
-// start yielding immediately.
-func (tx *Tx) enterGate() {
-	tx.inSerial = true
-	tx.rt.gate.Enter()
-}
-
-func (tx *Tx) exitGate() {
-	tx.rt.gate.Exit()
-	tx.inSerial = false
-}
-
-// parkRetry blocks the transaction on its Retry doorbell until a
-// conflicting commit rings it. A serialized transaction releases the
-// gate across the park (its producer may need the serialized rung) and
-// re-enters after.
-func (tx *Tx) parkRetry(st *Stats, serial bool) {
-	tx.parkPending = false
-	if tx.traced {
-		tx.tr.Record(txtrace.KindRetryPark, tx.rt.clk.Now(), tx.parkFP, 0)
-	}
-	if serial {
-		tx.exitGate()
-	}
-	tx.waiter.Park()
-	tx.rt.hub.Unsubscribe(&tx.waiter)
-	if serial {
-		tx.enterGate()
-	}
-	if st != nil {
-		st.RetryWakes++
-	}
-	if tx.traced {
-		tx.tr.Record(txtrace.KindRetryPark, tx.rt.clk.Now(), tx.parkFP, 1)
+	if scratch {
+		rt.statsPool.Put(st)
 	}
 }
 
-// remapPeriod is how many transactions a thread commits between
-// consecutive Rebalance offers to the placement policy.
-const remapPeriod = 64
-
-// maybeRemap is the commit-epilogue placement step, run on the calling
-// thread against its own Stats shard: every remapPeriod transactions
-// offer the accumulated conflict-sketch window to the placement policy
-// and refresh the shard's home.
-func (rt *Runtime) maybeRemap(st *Stats, tx *Tx) {
-	st.remapWindow.Merge(tx.sketch)
-	st.txSinceRemap++
-	if st.txSinceRemap < remapPeriod {
-		return
-	}
-	st.txSinceRemap = 0
-	moved := rt.placement.Rebalance(int(st.threadID), st.remapWindow)
-	st.remapWindow = txstats.Sketch{}
-	if moved {
-		old := st.home
-		st.home = int32(rt.placement.Home(int(st.threadID)))
-		st.Remaps++
-		if tx.traced {
-			tx.tr.Record(txtrace.KindRemap, rt.clk.Now(), uint64(st.home), uint32(old))
-		}
-	}
-}
-
-// noteConflict attributes one abort or CM defeat at address a to its
-// lock-array shard (cold path).
-func (tx *Tx) noteConflict(a tm.Addr) {
-	shard := tx.rt.layout.ShardOf(a)
-	tx.sketch.Observe(shard)
-	if int32(shard) != tx.home {
-		tx.crossShard++
-	}
-}
-
-// noteConflictLock is noteConflict for sites that hold only the lock
-// word (read-set validation).
-func (tx *Tx) noteConflictLock(l *atomic.Uint64) {
-	shard := tx.rt.lockShard(l)
-	tx.sketch.Observe(shard)
-	if int32(shard) != tx.home {
-		tx.crossShard++
-	}
+// begin resets the descriptor for one attempt at read version rv.
+func (tx *Tx) begin(rv uint64) {
+	tx.rv = rv
+	tx.readLog.Reset()
+	tx.writeSet.Reset()
+	tx.held.Reset()
+	tx.allocs = tx.allocs[:0]
+	tx.frees = tx.frees[:0]
 }
 
 func (tx *Tx) attempt(fn func(tx *Tx)) (ok bool) {
@@ -676,17 +366,10 @@ func (tx *Tx) rollback() {
 
 // abort records the rollback's reason on the trace and unwinds.
 func (tx *Tx) abort(reason uint32) {
-	if tx.traced {
-		tx.tr.Record(txtrace.KindAbort, tx.rv, 0, reason)
+	if tx.d.Traced {
+		tx.d.Tr.Record(txtrace.KindAbort, tx.rv, 0, reason)
 	}
 	tx.rollback()
-}
-
-func (tx *Tx) tick(units uint64) {
-	tx.work += units
-	if tx.work%yieldQuantum < units {
-		runtime.Gosched()
-	}
 }
 
 // Load implements tm.Tx: TL2's versioned read with pre/post lock checks.
@@ -694,7 +377,7 @@ func (tx *Tx) Load(a tm.Addr) uint64 {
 	if tx.mvOn {
 		return tx.loadMV(a)
 	}
-	tx.tick(1)
+	tx.d.Tick(1)
 	if v, buffered := tx.writeSet.Get(a); buffered {
 		return v
 	}
@@ -707,26 +390,14 @@ func (tx *Tx) Load(a tm.Addr) uint64 {
 			// policy decides between riding the publish out and
 			// aborting (the Suicide default waits — the hold is short
 			// and the committer is past the point of being aborted).
-			tx.cmSelf.Point = cm.PointCommit
-			tx.cmSelf.Writes = tx.writeSet.Len()
-			tx.cmSelf.Waited = waited
-			dec := cm.Resolve(tx.rt.cmPol, &tx.cmSelf, nil)
-			if tx.traced {
-				tx.tr.Record(txtrace.KindCMDecision, tx.rv, uint64(a),
-					txtrace.CMAux(int(dec), int(cm.PointCommit)))
-			}
+			dec := tx.d.Resolve(cm.PointCommit, a, nil, tx.writeSet.Len(), waited, tx.rv)
 			if dec == cm.AbortSelf {
-				tx.cmSelf.Defeats++
-				tx.noteConflict(a)
+				tx.d.Defeat(tx.rt.layout.ShardOf(a))
 				tx.abort(txtrace.AbortCM)
 			}
-			if !tx.inSerial && tx.rt.gate.Pending() {
-				// A serialized entrant holds or awaits the gate: riding
-				// this conflict out could starve it. Yield instead —
-				// the retry loop charges SpinInit backoff first.
-				tx.cmSelf.Defeats++
-				tx.gateYield = true
-				tx.noteConflict(a)
+			if tx.d.YieldToGate(tx.rt.layout.ShardOf(a)) {
+				// Riding this conflict out could starve a serialized
+				// entrant; the driver charges SpinInit backoff first.
 				tx.abort(txtrace.AbortCM)
 			}
 			waited++
@@ -742,13 +413,13 @@ func (tx *Tx) Load(a tm.Addr) uint64 {
 			// Fold the stamp into the clock first so the retry's fresh
 			// read version covers it (pre-publishing strategies never
 			// advance on their own).
-			tx.rt.clk.Observe(v1, &tx.clkProbe)
-			tx.noteConflict(a)
+			tx.rt.clk.Observe(v1, &tx.d.ClkProbe)
+			tx.d.Conflict(tx.rt.layout.ShardOf(a))
 			tx.abort(txtrace.AbortValidation)
 		}
 		tx.readLog.Append(l)
-		if tx.traced {
-			tx.tr.Record(txtrace.KindRead, v1, uint64(a), 0)
+		if tx.d.Traced {
+			tx.d.Tr.Record(txtrace.KindRead, v1, uint64(a), 0)
 		}
 		return val
 	}
@@ -762,27 +433,27 @@ func (tx *Tx) Load(a tm.Addr) uint64 {
 // leaves this path (and re-runs validated) when the ring has been
 // overrun by more than K commits.
 func (tx *Tx) loadMV(a tm.Addr) uint64 {
-	tx.tick(1)
+	tx.d.Tick(1)
 	l := tx.rt.lockFor(a)
 	for {
 		v1 := l.Load()
 		if v1 != locked && v1 <= tx.rv {
 			val := tx.rt.store.LoadWord(a)
 			if l.Load() == v1 {
-				tx.mvReads++
-				if tx.traced {
-					tx.tr.Record(txtrace.KindRead, v1, uint64(a), 1)
+				tx.d.MVReads++
+				if tx.d.Traced {
+					tx.d.Tr.Record(txtrace.KindRead, v1, uint64(a), 1)
 				}
 				return val
 			}
 			continue // torn read: version moved underneath us
 		}
 		if val, from, ok := tx.rt.mv.ReadAt(a, tx.rv); ok {
-			tx.mvReads++
-			if tx.traced {
+			tx.d.MVReads++
+			if tx.d.Traced {
 				// Clock carries the served version's birth stamp, not the
 				// snapshot: the opacity checker needs the observed version.
-				tx.tr.Record(txtrace.KindRead, from, uint64(a), 1)
+				tx.d.Tr.Record(txtrace.KindRead, from, uint64(a), 1)
 			}
 			return val
 		}
@@ -792,7 +463,7 @@ func (tx *Tx) loadMV(a tm.Addr) uint64 {
 			runtime.Gosched()
 			continue
 		}
-		tx.mvMisses++
+		tx.d.MVMisses++
 		tx.mvOn = false
 		tx.abort(txtrace.AbortSpec)
 	}
@@ -807,10 +478,10 @@ func (tx *Tx) Store(a tm.Addr, v uint64) {
 		tx.mvOn = false
 		tx.abort(txtrace.AbortSpec)
 	}
-	tx.tick(2)
+	tx.d.Tick(2)
 	tx.writeSet.Put(a, v)
-	if tx.traced {
-		tx.tr.Record(txtrace.KindWrite, tx.rv, uint64(a), 0)
+	if tx.d.Traced {
+		tx.d.Tr.Record(txtrace.KindWrite, tx.rv, uint64(a), 0)
 	}
 }
 
@@ -833,9 +504,7 @@ func (tx *Tx) Retry() {
 	for _, l := range tx.readLog.Locks() {
 		fp = mode.FPAdd(fp, uintptr(unsafe.Pointer(l)))
 	}
-	if fp != 0 {
-		hub := tx.rt.hub
-		hub.Subscribe(&tx.waiter, fp)
+	if tx.d.Subscribe(fp) {
 		valid := true
 		for _, l := range tx.readLog.Locks() {
 			if v := l.Load(); v == locked || v > tx.rv {
@@ -843,19 +512,14 @@ func (tx *Tx) Retry() {
 				break
 			}
 		}
-		if valid {
-			tx.parkPending = true
-			tx.parkFP = uint64(fp)
-		} else {
-			hub.Unsubscribe(&tx.waiter)
-		}
+		tx.d.Settle(valid)
 	}
 	tx.abort(txtrace.AbortRetry)
 }
 
 // Alloc implements tm.Tx.
 func (tx *Tx) Alloc(n int) tm.Addr {
-	tx.work++
+	tx.d.Work++
 	a := tx.rt.alloc.Alloc(n)
 	tx.allocs = append(tx.allocs, a)
 	return a
@@ -871,8 +535,8 @@ func (tx *Tx) commit() {
 	if tx.writeSet.Len() == 0 {
 		// Read-only: already validated against rv at every read.
 		tx.applyFrees()
-		if tx.traced {
-			tx.tr.Record(txtrace.KindCommit, tx.rv, 0, 0)
+		if tx.d.Traced {
+			tx.d.Tr.Record(txtrace.KindCommit, tx.rv, 0, 0)
 		}
 		return
 	}
@@ -891,36 +555,25 @@ func (tx *Tx) commit() {
 				// so waiting is safe; whether to wait or abort is the
 				// policy's call (the Suicide default spins a bounded
 				// commit grace, like the old inlined loop).
-				tx.cmSelf.Point = cm.PointCommit
-				tx.cmSelf.Writes = tx.writeSet.Len()
-				tx.cmSelf.Waited = waited
-				dec := cm.Resolve(tx.rt.cmPol, &tx.cmSelf, nil)
-				if tx.traced {
-					tx.tr.Record(txtrace.KindCMDecision, tx.rv, uint64(a),
-						txtrace.CMAux(int(dec), int(cm.PointCommit)))
-				}
+				dec := tx.d.Resolve(cm.PointCommit, a, nil, tx.writeSet.Len(), waited, tx.rv)
 				if dec == cm.AbortSelf {
-					tx.cmSelf.Defeats++
 					tx.held.Restore()
-					tx.noteConflict(a)
+					tx.d.Defeat(tx.rt.layout.ShardOf(a))
 					tx.abort(txtrace.AbortCM)
 				}
-				if !tx.inSerial && tx.rt.gate.Pending() {
-					tx.cmSelf.Defeats++
-					tx.gateYield = true
+				if tx.d.YieldToGate(tx.rt.layout.ShardOf(a)) {
 					tx.held.Restore()
-					tx.noteConflict(a)
 					tx.abort(txtrace.AbortCM)
 				}
 				waited++
-				tx.work += yieldQuantum
+				tx.d.Work += txdriver.YieldQuantum
 				runtime.Gosched()
 				continue
 			}
 			if v > tx.rv {
 				tx.held.Restore()
-				tx.rt.clk.Observe(v, &tx.clkProbe)
-				tx.noteConflict(a)
+				tx.rt.clk.Observe(v, &tx.d.ClkProbe)
+				tx.d.Conflict(tx.rt.layout.ShardOf(a))
 				tx.abort(txtrace.AbortConflict)
 			}
 			if l.CompareAndSwap(v, locked) {
@@ -928,10 +581,10 @@ func (tx *Tx) commit() {
 				break
 			}
 		}
-		tx.work++
+		tx.d.Work++
 	}
 
-	wv := tx.rt.clk.Tick(&tx.clkProbe)
+	wv := tx.rt.clk.Tick(&tx.d.ClkProbe)
 
 	// Validate the read set unless nothing could have changed. The
 	// wv == rv+1 shortcut is sound only when timestamps are exclusive:
@@ -940,33 +593,33 @@ func (tx *Tx) commit() {
 	// "only we committed".
 	if !tx.rt.exclusive || wv != tx.rv+1 {
 		for i, l := range tx.readLog.Locks() {
-			if i%validationStride == 0 {
-				tx.work++
+			if i%txdriver.ValidationStride == 0 {
+				tx.d.Work++
 			}
 			v := l.Load()
 			if v == locked {
 				if !tx.held.Holds(l) {
-					if tx.traced {
-						tx.tr.Record(txtrace.KindValidate, wv, uint64(tx.readLog.Len()), 0)
+					if tx.d.Traced {
+						tx.d.Tr.Record(txtrace.KindValidate, wv, uint64(tx.readLog.Len()), 0)
 					}
 					tx.held.Restore()
-					tx.noteConflictLock(l)
+					tx.d.Conflict(tx.rt.lockShard(l))
 					tx.abort(txtrace.AbortValidation)
 				}
 				continue
 			}
 			if v > tx.rv {
-				if tx.traced {
-					tx.tr.Record(txtrace.KindValidate, wv, uint64(tx.readLog.Len()), 0)
+				if tx.d.Traced {
+					tx.d.Tr.Record(txtrace.KindValidate, wv, uint64(tx.readLog.Len()), 0)
 				}
 				tx.held.Restore()
-				tx.rt.clk.Observe(v, &tx.clkProbe)
-				tx.noteConflictLock(l)
+				tx.rt.clk.Observe(v, &tx.d.ClkProbe)
+				tx.d.Conflict(tx.rt.lockShard(l))
 				tx.abort(txtrace.AbortValidation)
 			}
 		}
-		if tx.traced {
-			tx.tr.Record(txtrace.KindValidate, wv, uint64(tx.readLog.Len()), 1)
+		if tx.d.Traced {
+			tx.d.Tr.Record(txtrace.KindValidate, wv, uint64(tx.readLog.Len()), 1)
 		}
 	}
 
@@ -982,15 +635,15 @@ func (tx *Tx) commit() {
 
 	tx.writeSet.Range(func(a tm.Addr, v uint64) {
 		tx.rt.store.StoreWord(a, v)
-		if tx.traced {
-			tx.tr.Record(txtrace.KindCommitWord, wv, uint64(a), 0)
+		if tx.d.Traced {
+			tx.d.Tr.Record(txtrace.KindCommitWord, wv, uint64(a), 0)
 		}
-		tx.work++
+		tx.d.Work++
 	})
 	tx.held.Publish(wv)
 	// Ring Retry waiters whose read fingerprints intersect this write
 	// set; the no-waiter fast path is one atomic load.
-	if hub := tx.rt.hub; hub.Active() {
+	if hub := tx.rt.drv.Hub; hub.Active() {
 		var fp mode.Fingerprint
 		tx.writeSet.Range(func(a tm.Addr, _ uint64) {
 			fp = mode.FPAdd(fp, uintptr(unsafe.Pointer(tx.rt.lockFor(a))))
@@ -998,8 +651,8 @@ func (tx *Tx) commit() {
 		hub.Notify(fp)
 	}
 	tx.applyFrees()
-	if tx.traced {
-		tx.tr.Record(txtrace.KindCommit, wv, uint64(tx.writeSet.Len()), 0)
+	if tx.d.Traced {
+		tx.d.Tr.Record(txtrace.KindCommit, wv, uint64(tx.writeSet.Len()), 0)
 	}
 }
 

@@ -29,9 +29,11 @@ import (
 	"net"
 	"net/http"
 	_ "net/http/pprof" // register /debug/pprof on the default mux
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
+	"unicode"
 
 	"tlstm/internal/txstats"
 	"tlstm/internal/txtrace"
@@ -43,6 +45,45 @@ import (
 type Snapshot struct {
 	Counters map[string]uint64
 	Hists    map[string]txstats.Hist
+}
+
+// FromCounters lays out every txstats.Counters field under its name
+// with the leading capitals lowered (ClockCASRetries → clockCASRetries,
+// MVReads → mvReads): scalar counters as counters, histograms as
+// histograms, the conflict sketch as its total. A counter added to
+// txstats.Counters shows up here without further wiring.
+func FromCounters(c txstats.Counters) Snapshot {
+	snap := Snapshot{Counters: map[string]uint64{}, Hists: map[string]txstats.Hist{}}
+	v := reflect.ValueOf(c)
+	for i := 0; i < v.NumField(); i++ {
+		name := lowerInitialism(v.Type().Field(i).Name)
+		switch f := v.Field(i).Interface().(type) {
+		case uint64:
+			snap.Counters[name] = f
+		case txstats.Hist:
+			snap.Hists[name] = f
+		case txstats.Sketch:
+			snap.Counters[name] = f.Total()
+		}
+	}
+	return snap
+}
+
+// lowerInitialism lowers a Go field name's leading capital run, keeping
+// the last capital of a multi-letter run when it starts the next word.
+func lowerInitialism(name string) string {
+	r := []rune(name)
+	n := 0
+	for n < len(r) && unicode.IsUpper(r[n]) {
+		n++
+	}
+	if n > 1 && n < len(r) {
+		n--
+	}
+	for i := 0; i < n; i++ {
+		r[i] = unicode.ToLower(r[i])
+	}
+	return string(r)
 }
 
 // Source produces a snapshot on demand. It is called from observer
