@@ -13,7 +13,7 @@ func TestNilStatsRunsUnderTheLadder(t *testing.T) {
 	rt := New(WithMode(mode.Config{Policy: mode.Serial}))
 	for i := 0; i < 3; i++ {
 		inSerial := false
-		rt.Atomic(nil, func(tx *Tx) { inSerial = tx.d.InSerial })
+		rt.Atomic(nil, func(tx *Tx) { inSerial = tx.d.InSerial() })
 		if !inSerial {
 			t.Fatalf("call %d: nil-Stats body ran outside the serialized gate", i)
 		}

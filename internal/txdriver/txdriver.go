@@ -150,23 +150,25 @@ type Desc struct {
 	MVReads  uint64
 	MVMisses uint64
 
-	// CMSelf/CMProbe are the contention-management identity and
-	// counters; GreedTS is the priority slot policies publish into.
-	// ClkProbe accumulates clock CAS retries (and pins the descriptor to
-	// a shard under the sharded strategy).
-	CMSelf   cm.Self
-	CMProbe  cm.Probe
+	// GreedTS is the priority slot contention-management policies
+	// publish into; ClkProbe accumulates clock CAS retries (and pins the
+	// descriptor to a shard under the sharded strategy).
 	GreedTS  atomic.Uint64
 	ClkProbe clock.Probe
 
-	// InSerial marks a transaction running under the serialized gate:
-	// it is exempt from the gate-yield break in conflict wait loops.
-	InSerial bool
+	// cmSelf/cmProbe are the contention-management identity and
+	// counters.
+	cmSelf  cm.Self
+	cmProbe cm.Probe
 
-	// serial is the rung this transaction runs on; gateYield asks for
+	// inSerial marks a transaction holding the serialized gate: it is
+	// exempt from the gate-yield break in conflict wait loops. serial is
+	// the rung this transaction runs on (it keeps the rung across a
+	// Retry park, which releases the gate); gateYield asks for
 	// one SpinInit backoff after an abort taken to let a gate entrant
 	// pass; retryAborts counts Retry unwinds, excluded from the ladder's
 	// escalation signals; start is the current attempt's start time.
+	inSerial    bool
 	serial      bool
 	gateYield   bool
 	retryAborts uint64
@@ -192,8 +194,8 @@ func (x *Desc) Init(d *Driver, tr txtrace.Tracer) {
 	x.d = d
 	x.Tr = tr
 	x.Traced = tr.Enabled()
-	x.CMSelf.Timestamp = &x.GreedTS
-	x.CMSelf.Probe = &x.CMProbe
+	x.cmSelf.Timestamp = &x.GreedTS
+	x.cmSelf.Probe = &x.cmProbe
 }
 
 // Begin starts one transaction of thread thr (binding it if needed)
@@ -210,7 +212,7 @@ func (x *Desc) Begin(thr *Thread, c *txstats.Counters) {
 	x.Extends, x.MVReads, x.MVMisses = 0, 0, 0
 	x.gateYield = false
 	x.GreedTS.Store(0)
-	x.CMSelf.Defeats = 0
+	x.cmSelf.Defeats = 0
 	x.sketch = txstats.Sketch{}
 	x.crossShard = 0
 	if x.Traced {
@@ -272,8 +274,8 @@ func (x *Desc) Aborted() {
 	// Back off per policy so the conflict window is not re-entered
 	// immediately (and, on one CPU, so the lock owner we lost to gets
 	// scheduled before we re-acquire).
-	x.CMSelf.Aborts = x.Aborts
-	for i, n := 0, cm.AbortBackoff(x.d.cm, &x.CMSelf); i < n; i++ {
+	x.cmSelf.Aborts = x.Aborts
+	for i, n := 0, cm.AbortBackoff(x.d.cm, &x.cmSelf); i < n; i++ {
 		runtime.Gosched()
 	}
 }
@@ -287,7 +289,7 @@ func (x *Desc) Committed(reads, writes int) {
 		x.exitGate()
 	}
 	d, thr, c := x.d, x.thr, x.c
-	if fell, rec := thr.ctl.OnOutcome(x.Aborts-x.retryAborts, x.CMSelf.Defeats > 0); fell || rec {
+	if fell, rec := thr.ctl.OnOutcome(x.Aborts-x.retryAborts, x.cmSelf.Defeats > 0); fell || rec {
 		if fell {
 			c.ModeFallbacks++
 		} else {
@@ -298,8 +300,8 @@ func (x *Desc) Committed(reads, writes int) {
 				uint64(thr.ctl.State()), uint32(1-thr.ctl.State()))
 		}
 	}
-	cm.Committed(d.cm, &x.CMSelf)
-	cmSelf, cmOwner, spins := x.CMProbe.TakeCounts()
+	cm.Committed(d.cm, &x.cmSelf)
+	cmSelf, cmOwner, spins := x.cmProbe.TakeCounts()
 	c.Work += x.Work
 	c.SnapshotExtensions += x.Extends
 	c.ClockCASRetries += x.ClkProbe.TakeRetries()
@@ -330,13 +332,13 @@ func (x *Desc) Committed(reads, writes int) {
 // raises pending before the lock is contended, so speculative wait
 // loops start yielding immediately.
 func (x *Desc) enterGate() {
-	x.InSerial = true
+	x.inSerial = true
 	x.d.gate.Enter()
 }
 
 func (x *Desc) exitGate() {
 	x.d.gate.Exit()
-	x.InSerial = false
+	x.inSerial = false
 }
 
 // park blocks the transaction on its Retry doorbell until a conflicting
@@ -388,6 +390,9 @@ func (x *Desc) Settle(valid bool) {
 	}
 }
 
+// InSerial reports whether the transaction holds the serialized gate.
+func (x *Desc) InSerial() bool { return x.inSerial }
+
 // Tick charges units of work and enforces the interleaving grain.
 func (x *Desc) Tick(units uint64) {
 	x.Work += units
@@ -400,10 +405,10 @@ func (x *Desc) Tick(units uint64) {
 // (owner nil for anonymous versioned locks), after waited rounds on it,
 // with writes locked or buffered so far; stamp is the trace clock.
 func (x *Desc) Resolve(pt cm.Point, a tm.Addr, owner *locktable.OwnerRef, writes, waited int, stamp uint64) cm.Decision {
-	x.CMSelf.Point = pt
-	x.CMSelf.Writes = writes
-	x.CMSelf.Waited = waited
-	dec := cm.Resolve(x.d.cm, &x.CMSelf, owner)
+	x.cmSelf.Point = pt
+	x.cmSelf.Writes = writes
+	x.cmSelf.Waited = waited
+	dec := cm.Resolve(x.d.cm, &x.cmSelf, owner)
 	if x.Traced {
 		x.Tr.Record(txtrace.KindCMDecision, stamp, uint64(a),
 			txtrace.CMAux(int(dec), int(pt)))
@@ -423,7 +428,7 @@ func (x *Desc) Conflict(shard int) {
 // Defeat records a conflict lost at shard: the ladder's defeat signal
 // plus shard attribution. The caller aborts.
 func (x *Desc) Defeat(shard int) {
-	x.CMSelf.Defeats++
+	x.cmSelf.Defeats++
 	x.Conflict(shard)
 }
 
@@ -434,7 +439,7 @@ func (x *Desc) Defeat(shard int) {
 // recorded, the next backoff includes SpinInit yields, and the caller
 // aborts.
 func (x *Desc) YieldToGate(shard int) bool {
-	if x.InSerial || !x.d.gate.Pending() {
+	if x.inSerial || !x.d.gate.Pending() {
 		return false
 	}
 	x.Defeat(shard)

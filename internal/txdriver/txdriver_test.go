@@ -66,16 +66,16 @@ func TestEscalationHoldsTheGateUntilCommit(t *testing.T) {
 		x.Next()
 		x.Aborted()
 	}
-	if !x.InSerial || !d.gate.Pending() {
-		t.Fatalf("after the attempt budget: InSerial=%v pending=%v, want both", x.InSerial, d.gate.Pending())
+	if !x.InSerial() || !d.gate.Pending() {
+		t.Fatalf("after the attempt budget: InSerial=%v pending=%v, want both", x.InSerial(), d.gate.Pending())
 	}
 	if c.ModeFallbacks != 1 {
 		t.Fatalf("ModeFallbacks = %d, want 1", c.ModeFallbacks)
 	}
 	x.Next()
 	x.Committed(0, 0)
-	if x.InSerial || d.gate.Pending() {
-		t.Fatalf("after commit: InSerial=%v pending=%v, want neither", x.InSerial, d.gate.Pending())
+	if x.InSerial() || d.gate.Pending() {
+		t.Fatalf("after commit: InSerial=%v pending=%v, want neither", x.InSerial(), d.gate.Pending())
 	}
 }
 
@@ -85,12 +85,12 @@ func TestSerialPolicyEntersTheGateAtBegin(t *testing.T) {
 	var thr Thread
 	var c txstats.Counters
 	x.Begin(&thr, &c)
-	if !x.InSerial {
+	if !x.InSerial() {
 		t.Fatalf("serial policy: transaction began outside the gate")
 	}
 	x.Next()
 	x.Committed(0, 0)
-	if x.InSerial {
+	if x.InSerial() {
 		t.Fatalf("commit did not leave the gate")
 	}
 }
