@@ -9,77 +9,73 @@
 //	tlstm-bench -quick          # reduced transaction counts
 //	tlstm-bench -headline       # §4 headline numbers (from Fig2b data)
 //	tlstm-bench -clock deferred # figures under the GV5-style clock
-//	tlstm-bench -clocks         # clock-strategy sweep across runtimes
 //	tlstm-bench -cm karma       # figures under the Karma contention manager
-//	tlstm-bench -cms            # contention-policy sweep across runtimes
 //	tlstm-bench -mode adaptive  # figures under the adaptive execution-mode ladder
-//	tlstm-bench -modes          # execution-mode sweep (karma conflict storm)
 //	tlstm-bench -mv 2           # figures with 2 retained versions per word
-//	tlstm-bench -mvs            # multi-version depth sweep (read-mostly mixes)
-//	tlstm-bench -mvs -json out.json  # ... also persisted as JSON
-//	tlstm-bench -shards 4       # figures with a 4-shard lock table
-//	tlstm-bench -shards 4 -affinity  # ... plus conflict-sketch thread placement
-//	tlstm-bench -shardss        # shard-count sweep (hot-word and 90/10 mixes)
+//	tlstm-bench -shards 4 -affinity  # figures on a 4-shard lock table with conflict-sketch placement
+//	tlstm-bench -clocks         # a sweep: one flag per harness.Sweeps entry
+//	tlstm-bench -mvs -json out.json  # ... also persisted as JSON (any sweep)
+//
+// The sweep flags are -clocks, -cms, -modes, -mvs, -shardss and -scheds
+// (see harness.Sweeps); tlstm-stress exposes the same set.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 
-	"tlstm/internal/clock"
-	"tlstm/internal/cm"
 	"tlstm/internal/harness"
-	"tlstm/internal/mode"
 	"tlstm/internal/txtrace"
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(flag.CommandLine, os.Args[1:]))
 }
 
-func run() int {
-	fig := flag.String("fig", "all", `figure to regenerate: "1a", "1b", "2a", "2b" or "all"`)
-	quick := flag.Bool("quick", false, "use reduced transaction counts")
-	headline := flag.Bool("headline", false, "print the paper's §4 headline ratios (computed from Figure 2b)")
-	check := flag.Bool("check", false, "regenerate all figures and verify the paper's qualitative claims; exit non-zero on violation")
-	schedCmp := flag.Bool("sched", false, "compare the pooled and inline scheduling policies on a depth-1 workload (wall time is the interesting column; virtual time is policy-independent)")
-	clockName := flag.String("clock", "gv4", `commit-clock strategy for figure/headline runs: "gv4", "deferred", "sharded" or "gv7"`)
-	clockCmp := flag.Bool("clocks", false, "sweep all commit-clock strategies across all four runtimes on a write-heavy workload (throughput, abort rate, snapshot extensions and clock CAS retries per strategy)")
-	cmName := flag.String("cm", "default", `contention-management policy for figure/headline runs: "suicide", "backoff", "greedy", "karma", "taskaware" or "default" (each runtime's own)`)
-	cmCmp := flag.Bool("cms", false, "sweep all contention-management policies across all four runtimes on a write-contended workload (throughput, abort rate and policy decision counters per policy)")
-	modeName := flag.String("mode", "spec", `execution-mode policy for figure/headline runs: "spec" (always speculative), "adaptive" (ladder with serialized fallback) or "serial"`)
-	modeCmp := flag.Bool("modes", false, "sweep all execution-mode policies across all four runtimes on the karma conflict storm (throughput, abort rate and ladder fallback/recovery counters per policy)")
-	mvDepth := flag.Int("mv", 0, "retained version depth for figure/headline runs (0 disables multi-versioning)")
-	mvCmp := flag.Bool("mvs", false, "sweep retained version depths K=0..3 across all four runtimes on read-mostly workloads at 90/10 and 99/1 mixes (throughput, aborts, wait-free reads and fallback misses per depth)")
-	shards := flag.Int("shards", 0, "lock-table shard count for figure/headline runs (a power of two; 0 or 1 keeps the flat table)")
-	affinity := flag.Bool("affinity", false, "replace static round-robin thread placement with the conflict-sketch affinity policy (only meaningful with -shards > 1)")
-	shardCmp := flag.Bool("shardss", false, "sweep lock-table shard counts N=1,2,4,8 (plus an affinity leg at each N>1) across all four runtimes on hot-word and 90/10 mixes (throughput, aborts, cross-shard conflicts and remaps per geometry)")
-	jsonPath := flag.String("json", "", "with -mvs or -shardss: also write the sweep results as JSON to this file")
-	format := flag.String("format", "table", `output format: "table" or "csv"`)
-	traceFile := flag.String("trace", "", "arm the flight recorder in every runtime the figures build and write the binary trace dump (TXTRACE1) here on exit; inspect with tlstm-trace")
-	flag.Parse()
+func run(fs *flag.FlagSet, args []string) int {
+	fig := fs.String("fig", "all", `figure to regenerate: "1a", "1b", "2a", "2b" or "all"`)
+	quick := fs.Bool("quick", false, "use reduced transaction counts")
+	headline := fs.Bool("headline", false, "print the paper's §4 headline ratios (computed from Figure 2b)")
+	check := fs.Bool("check", false, "regenerate all figures and verify the paper's qualitative claims; exit non-zero on violation")
+	format := fs.String("format", "table", `output format: "table" or "csv"`)
+	traceFile := fs.String("trace", "", "arm the flight recorder in every runtime the figures build and write the binary trace dump (TXTRACE1) here on exit; inspect with tlstm-trace")
+	flags := harness.RegisterFlags(fs, "figure/headline runs")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	// Fail fast on malformed flags instead of clamping or misbehaving
 	// several minutes into a figure run.
-	if *mvDepth < 0 {
-		fmt.Fprintf(os.Stderr, "tlstm-bench: -mv %d: retained version depth cannot be negative\n", *mvDepth)
+	cfg, sweep, err := flags.Parse()
+	if err == nil && *format != "table" && *format != "csv" {
+		err = fmt.Errorf("-format %q: want \"table\" or \"csv\"", *format)
+	}
+	if err == nil && *fig != "all" && figures[*fig] == nil {
+		err = fmt.Errorf("unknown figure %q", *fig)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "tlstm-bench: %v\n", err)
 		return 2
 	}
-	if *shards < 0 || (*shards > 1 && *shards&(*shards-1) != 0) {
-		fmt.Fprintf(os.Stderr, "tlstm-bench: -shards %d: shard count must be a power of two\n", *shards)
-		return 2
-	}
-	if *affinity && *shards <= 1 {
-		fmt.Fprintf(os.Stderr, "tlstm-bench: -affinity requires -shards > 1 (a flat lock table has nowhere to place threads)\n")
-		return 2
+
+	if sweep != nil {
+		txs := sweep.Tx
+		if *quick {
+			txs = sweep.QuickTx
+		}
+		if err := flags.RunSweep(sweep, sweep.Threads, txs); err != nil {
+			fmt.Fprintf(os.Stderr, "tlstm-bench: %v\n", err)
+			return 1
+		}
+		return 0
 	}
 
 	sc := harness.DefaultScale()
 	if *quick {
 		sc = harness.QuickScale()
 	}
+	sc.Config = cfg
 	if *traceFile != "" {
 		sc.Trace = txtrace.NewRecorder(0)
 		defer func() {
@@ -100,187 +96,55 @@ func run() int {
 				len(sc.Trace.Rings()), sc.Trace.Events(), sc.Trace.Drops(), *traceFile)
 		}()
 	}
-	kind, err := clock.Parse(*clockName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tlstm-bench: %v\n", err)
-		return 2
-	}
-	sc.Clock = kind
-	cmKind, err := cm.Parse(*cmName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tlstm-bench: %v\n", err)
-		return 2
-	}
-	sc.CM = cmKind
-	modePol, err := mode.Parse(*modeName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tlstm-bench: %v\n", err)
-		return 2
-	}
-	sc.Mode = mode.Config{Policy: modePol}
-	sc.MV = *mvDepth
-	sc.Shards = *shards
-	sc.Affinity = *affinity
-
-	if *shardCmp {
-		threads, txs := 4, 5_000
-		if *quick {
-			txs = 500
-		}
-		fmt.Printf("## Lock-table shard sweep (hot-word and 90/10 mixes, %d threads, %d tx/thread)\n", threads, txs)
-		results := harness.CompareShards(threads, txs)
-		for _, r := range results {
-			fmt.Println(r)
-		}
-		if *jsonPath != "" {
-			if err := writeJSON(*jsonPath, "shards", threads, txs, results); err != nil {
-				fmt.Fprintf(os.Stderr, "tlstm-bench: %v\n", err)
-				return 1
-			}
-		}
-		return 0
-	}
-	if *mvCmp {
-		threads, txs := 4, 10_000
-		if *quick {
-			txs = 1_000
-		}
-		fmt.Printf("## Multi-version depth sweep (read-mostly, %d threads, %d tx/thread)\n", threads, txs)
-		results := harness.CompareMV(threads, txs)
-		for _, r := range results {
-			fmt.Println(r)
-		}
-		if *jsonPath != "" {
-			if err := writeJSON(*jsonPath, "mv", threads, txs, results); err != nil {
-				fmt.Fprintf(os.Stderr, "tlstm-bench: %v\n", err)
-				return 1
-			}
-		}
-		return 0
-	}
-	if *clockCmp {
-		txs := 50_000
-		if *quick {
-			txs = 5_000
-		}
-		fmt.Println("## Commit-clock strategy comparison (write-heavy, 4 threads, all runtimes)")
-		for _, r := range harness.CompareClocks(4, txs) {
-			fmt.Println(r)
-		}
-		return 0
-	}
-	if *cmCmp {
-		txs := 20_000
-		if *quick {
-			txs = 2_000
-		}
-		fmt.Println("## Contention-management policy comparison (write-contended, 4 threads, all runtimes)")
-		for _, r := range harness.CompareCM(4, txs) {
-			fmt.Println(r)
-		}
-		return 0
-	}
-	if *modeCmp {
-		txs := 20_000
-		if *quick {
-			txs = 2_000
-		}
-		fmt.Println("## Execution-mode policy comparison (karma conflict storm, 4 threads, all runtimes)")
-		for _, r := range harness.CompareModes(4, txs) {
-			fmt.Println(r)
-		}
-		return 0
-	}
 	if *headline {
 		printHeadline(sc)
-		return 0
-	}
-	if *schedCmp {
-		txs := 200_000
-		if *quick {
-			txs = 20_000
-		}
-		fmt.Println("## Scheduling-policy comparison (SpecDepth 1, per-thread counters)")
-		for _, r := range harness.CompareSched(2, txs) {
-			fmt.Println(r)
-		}
 		return 0
 	}
 	if *check {
 		return runCheck(sc)
 	}
-
-	type job struct {
-		name string
-		run  func(harness.Scale) harness.Figure
-	}
-	jobs := []job{
-		{"1a", harness.Fig1a},
-		{"1b", harness.Fig1b},
-		{"2a", harness.Fig2a},
-		{"2b", harness.Fig2b},
-	}
-	ran := 0
-	for _, j := range jobs {
-		if *fig != "all" && *fig != j.name {
+	for _, name := range figureOrder {
+		if *fig != "all" && *fig != name {
 			continue
 		}
-		f := j.run(sc)
+		f := figures[name].run(sc)
 		if *format == "csv" {
 			fmt.Println(f.CSV())
 		} else {
 			fmt.Println(f.Format())
 		}
-		ran++
-	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "tlstm-bench: unknown figure %q\n", *fig)
-		return 2
 	}
 	return 0
 }
 
-// writeJSON persists a sweep as an indented JSON document (the
-// perf-trajectory format committed as BENCH_<pr>.json).
-func writeJSON(path, sweep string, threads, txPerThread int, results []harness.Result) error {
-	doc := struct {
-		Sweep       string           `json:"sweep"`
-		Threads     int              `json:"threads"`
-		TxPerThread int              `json:"txPerThread"`
-		Results     []harness.Result `json:"results"`
-	}{sweep, threads, txPerThread, results}
-	buf, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
+// figures maps each -fig name to its generator and shape check, run in
+// figureOrder.
+var figures = map[string]*struct {
+	run   func(harness.Scale) harness.Figure
+	check func(harness.Figure) []string
+}{
+	"1a": {harness.Fig1a, harness.CheckFig1a},
+	"1b": {harness.Fig1b, harness.CheckFig1b},
+	"2a": {harness.Fig2a, harness.CheckFig2a},
+	"2b": {harness.Fig2b, harness.CheckFig2b},
 }
+
+var figureOrder = []string{"1a", "1b", "2a", "2b"}
 
 // runCheck regenerates every figure and verifies the paper's
 // qualitative claims (harness.CheckFig*).
 func runCheck(sc harness.Scale) int {
-	type job struct {
-		name  string
-		run   func(harness.Scale) harness.Figure
-		check func(harness.Figure) []string
-	}
-	jobs := []job{
-		{"1a", harness.Fig1a, harness.CheckFig1a},
-		{"1b", harness.Fig1b, harness.CheckFig1b},
-		{"2a", harness.Fig2a, harness.CheckFig2a},
-		{"2b", harness.Fig2b, harness.CheckFig2b},
-	}
 	violations := 0
-	for _, j := range jobs {
-		f := j.run(sc)
-		bad := j.check(f)
+	for _, name := range figureOrder {
+		j := figures[name]
+		bad := j.check(j.run(sc))
 		if len(bad) == 0 {
-			fmt.Printf("figure %s: all shape claims hold\n", j.name)
+			fmt.Printf("figure %s: all shape claims hold\n", name)
 			continue
 		}
 		violations += len(bad)
 		for _, msg := range bad {
-			fmt.Printf("figure %s: VIOLATION: %s\n", j.name, msg)
+			fmt.Printf("figure %s: VIOLATION: %s\n", name, msg)
 		}
 	}
 	if violations > 0 {
@@ -298,10 +162,8 @@ func runCheck(sc harness.Scale) int {
 func printHeadline(sc harness.Scale) {
 	f := harness.Fig2b(sc)
 	get := func(name string, wi int) float64 {
-		for _, s := range f.Series {
-			if s.Name == name {
-				return s.Y[wi]
-			}
+		if y := f.Lookup(name).Y; wi < len(y) {
+			return y[wi]
 		}
 		return 0
 	}

@@ -14,7 +14,8 @@ import (
 )
 
 // commitCost is the modeled per-task commit serialization cost in work
-// units, used by the virtual-time model (DESIGN.md §3).
+// units, used by the virtual-time model (README, "Reproducing the
+// paper's figures").
 const commitCost = 2
 
 // commitStep is the task's commit procedure (Alg. 3 lines 65–77): wait
@@ -303,7 +304,7 @@ func (t *Task) finishCommit(ts uint64, writeTx bool) {
 
 	// Virtual-time model: tasks start together; task k finishes at
 	// max(own work, finish of task k−1) + commit cost (serialized
-	// commits). See DESIGN.md §3.
+	// commits). See README, "Reproducing the paper's figures".
 	var finish, work uint64
 	for _, task := range tx.tasks {
 		w := task.workAcc

@@ -13,15 +13,7 @@ import "fmt"
 // transactions speed up meaningfully.
 func CheckFig1a(f Figure) []string {
 	var bad []string
-	var t2, t4 Series
-	for _, s := range f.Series {
-		switch s.Name {
-		case "TLSTM-2":
-			t2 = s
-		case "TLSTM-4":
-			t4 = s
-		}
-	}
+	t2, t4 := f.Lookup("TLSTM-2"), f.Lookup("TLSTM-4")
 	if len(t2.Y) == 0 || len(t4.Y) == 0 {
 		return []string{"fig1a: missing series"}
 	}
@@ -50,17 +42,9 @@ func CheckFig1a(f Figure) []string {
 // within 20% of SwissTM, and SwissTM scaling with clients.
 func CheckFig1b(f Figure) []string {
 	var bad []string
-	get := func(name string) Series {
-		for _, s := range f.Series {
-			if s.Name == name {
-				return s
-			}
-		}
-		return Series{}
-	}
-	sw := get("SwissTM-low")
-	t1 := get("TLSTM-1-low")
-	t2 := get("TLSTM-2-low")
+	sw := f.Lookup("SwissTM-low")
+	t1 := f.Lookup("TLSTM-1-low")
+	t2 := f.Lookup("TLSTM-2-low")
 	if len(sw.Y) == 0 || len(t1.Y) == 0 || len(t2.Y) == 0 {
 		return []string{"fig1b: missing series"}
 	}
@@ -83,17 +67,9 @@ func CheckFig1b(f Figure) []string {
 // inversion, near-full speedup and convergence with SwissTM-3 at 100%.
 func CheckFig2a(f Figure) []string {
 	var bad []string
-	get := func(name string) Series {
-		for _, s := range f.Series {
-			if s.Name == name {
-				return s
-			}
-		}
-		return Series{}
-	}
-	s1 := get("SwissTM-1")
-	t13 := get("TLSTM-1-3")
-	s3 := get("SwissTM-3")
+	s1 := f.Lookup("SwissTM-1")
+	t13 := f.Lookup("TLSTM-1-3")
+	s3 := f.Lookup("SwissTM-3")
 	if len(s1.Y) == 0 || len(t13.Y) == 0 || len(s3.Y) == 0 {
 		return []string{"fig2a: missing series"}
 	}
@@ -119,18 +95,10 @@ func CheckFig2a(f Figure) []string {
 // CheckFig2b verifies E4's directional claims.
 func CheckFig2b(f Figure) []string {
 	var bad []string
-	get := func(name string) Series {
-		for _, s := range f.Series {
-			if s.Name == name {
-				return s
-			}
-		}
-		return Series{}
-	}
 	const writeIdx, rwIdx, readIdx = 0, 1, 2
 	for _, k := range []int{1, 2} {
-		sw := get(fmt.Sprintf("SwissTM-%d", k))
-		t3 := get(fmt.Sprintf("TLSTM-%d-3", k))
+		sw := f.Lookup(fmt.Sprintf("SwissTM-%d", k))
+		t3 := f.Lookup(fmt.Sprintf("TLSTM-%d-3", k))
 		if len(sw.Y) < 3 || len(t3.Y) < 3 {
 			return []string{"fig2b: missing series"}
 		}
@@ -143,17 +111,17 @@ func CheckFig2b(f Figure) []string {
 	}
 	// 9 tasks: good at one thread on reads, collapsing under
 	// multi-thread contention (read-write mix).
-	if get("TLSTM-1-9").Y[readIdx] <= get("TLSTM-1-3").Y[readIdx] {
+	if f.Lookup("TLSTM-1-9").Y[readIdx] <= f.Lookup("TLSTM-1-3").Y[readIdx] {
 		bad = append(bad, "fig2b: TLSTM-1-9 should beat TLSTM-1-3 on the 1-thread read workload")
 	}
-	if get("TLSTM-2-9").Y[rwIdx] >= get("TLSTM-2-3").Y[rwIdx] {
+	if f.Lookup("TLSTM-2-9").Y[rwIdx] >= f.Lookup("TLSTM-2-3").Y[rwIdx] {
 		bad = append(bad, "fig2b: TLSTM-2-9 should collapse below TLSTM-2-3 on the read-write workload")
 	}
-	if get("TLSTM-3-9").Y[writeIdx] >= get("TLSTM-3-3").Y[writeIdx] {
+	if f.Lookup("TLSTM-3-9").Y[writeIdx] >= f.Lookup("TLSTM-3-3").Y[writeIdx] {
 		bad = append(bad, "fig2b: TLSTM-3-9 should collapse below TLSTM-3-3 on the write workload")
 	}
 	// SwissTM keeps scaling on the write workload where TLSTM stalls.
-	if get("SwissTM-3").Y[writeIdx] <= get("SwissTM-1").Y[writeIdx] {
+	if f.Lookup("SwissTM-3").Y[writeIdx] <= f.Lookup("SwissTM-1").Y[writeIdx] {
 		bad = append(bad, "fig2b: SwissTM should scale with threads on the write workload")
 	}
 	return bad

@@ -3,22 +3,18 @@ package harness
 import (
 	"fmt"
 
-	"tlstm/internal/clock"
-	"tlstm/internal/cm"
-	"tlstm/internal/core"
-	"tlstm/internal/mode"
 	"tlstm/internal/rbtree"
 	"tlstm/internal/sb7"
-	"tlstm/internal/stm"
 	"tlstm/internal/tm"
-	"tlstm/internal/txtrace"
 	"tlstm/internal/vacation"
 )
 
 // Scale is the run configuration shared by every figure: it trades run
 // time for measurement stability (the number of transactions per thread
-// in every figure is multiplied by the Tx fields) and selects the
-// commit-clock strategy the runtimes are built with.
+// in every figure is multiplied by the Tx fields) and carries the
+// Config every figure runtime is built with (the cmds' -clock, -cm,
+// -mode, -mv, -shards, -affinity and -trace; each figure sets its own
+// SpecDepth).
 type Scale struct {
 	// Fig1aTx is transactions per point for the red-black-tree figure.
 	Fig1aTx int
@@ -26,34 +22,7 @@ type Scale struct {
 	Fig1bTx int
 	// SB7Tx is traversal transactions per thread for Figures 2a/2b.
 	SB7Tx int
-	// Clock is the commit-clock strategy every runtime in the figures
-	// uses (cmd/tlstm-bench -clock); the zero value is GV4.
-	Clock clock.Kind
-	// CM is the contention-management policy every runtime in the
-	// figures uses (cmd/tlstm-bench -cm); the zero value keeps each
-	// runtime's own default (greedy for SwissTM, task-aware for TLSTM).
-	CM cm.Kind
-	// MV is the retained version depth every runtime in the figures is
-	// built with (cmd/tlstm-bench -mv); 0 disables multi-versioning.
-	// Figure workloads only benefit where they declare transactions
-	// read-only, but building the stores is harmless everywhere.
-	MV int
-	// Trace, when non-nil, arms the flight recorder in every runtime the
-	// figures build (cmd/tlstm-bench -trace). All points of a run share
-	// one recorder; rings are labeled per runtime thread.
-	Trace *txtrace.Recorder
-	// Shards is the lock-table shard count every runtime in the figures
-	// is built with (cmd/tlstm-bench -shards); 0 or 1 keeps the flat
-	// single-shard layout.
-	Shards int
-	// Affinity selects the conflict-sketch placement policy instead of
-	// the static round-robin one (cmd/tlstm-bench -affinity); it only
-	// matters with Shards > 1.
-	Affinity bool
-	// Mode is the execution-mode ladder config every runtime in the
-	// figures is built with (cmd/tlstm-bench -mode); the zero value is
-	// always-speculative.
-	Mode mode.Config
+	Config
 }
 
 // DefaultScale is used by the CLI and benches.
@@ -62,21 +31,12 @@ func DefaultScale() Scale { return Scale{Fig1aTx: 300, Fig1bTx: 60, SB7Tx: 24} }
 // QuickScale keeps unit-test runs fast.
 func QuickScale() Scale { return Scale{Fig1aTx: 40, Fig1bTx: 8, SB7Tx: 4} }
 
-// newSTM builds a SwissTM runtime with the configured clock strategy
-// and contention-management policy.
-func (sc Scale) newSTM() *stm.Runtime {
-	return stm.New(stm.WithClock(clock.New(sc.Clock)), stm.WithCM(cm.New(sc.CM)),
-		stm.WithMultiVersion(sc.MV), stm.WithTrace(sc.Trace),
-		stm.WithShards(sc.Shards), stm.WithAffinity(sc.Affinity),
-		stm.WithMode(sc.Mode))
-}
-
-// newTLSTM builds a TLSTM runtime with the configured clock strategy
-// and contention-management policy.
-func (sc Scale) newTLSTM(depth int) *core.Runtime {
-	return core.New(core.Config{SpecDepth: depth, Clock: clock.New(sc.Clock), CM: cm.New(sc.CM),
-		MVDepth: sc.MV, Trace: sc.Trace, Shards: sc.Shards, Affinity: sc.Affinity,
-		Mode: sc.Mode})
+// build builds r under the scale's Config with the given SpecDepth
+// (which only TLSTM reads).
+func (sc Scale) build(r Runtime, depth int) Instance {
+	c := sc.Config
+	c.SpecDepth = depth
+	return r.New(c)
 }
 
 func mix64(x uint64) uint64 {
@@ -152,14 +112,14 @@ func Fig1a(sc Scale) Figure {
 		Series: []Series{{Name: "TLSTM-2"}, {Name: "TLSTM-4"}},
 	}
 	for _, n := range Fig1aOpCounts {
-		base := sc.newSTM()
-		baseTree := fig1aTree(base.Direct())
-		rBase := RunSTM(base, rbWorkload(baseTree, "SwissTM", n, 1, sc.Fig1aTx))
+		base := sc.build(SwissTM, 1)
+		baseTree := fig1aTree(base.Direct)
+		rBase := base.Run(rbWorkload(baseTree, "SwissTM", n, 1, sc.Fig1aTx))
 
 		for si, tasks := range []int{2, 4} {
-			rt := sc.newTLSTM(tasks)
-			tr := fig1aTree(rt.Direct())
-			r := RunTLSTM(rt, rbWorkload(tr, fmt.Sprintf("TLSTM-%d", tasks), n, tasks, sc.Fig1aTx))
+			rt := sc.build(TLSTM, tasks)
+			tr := fig1aTree(rt.Direct)
+			r := rt.Run(rbWorkload(tr, fmt.Sprintf("TLSTM-%d", tasks), n, tasks, sc.Fig1aTx))
 			rt.Close() // drain this point's worker pools
 			fig.Series[si].X = append(fig.Series[si].X, float64(n))
 			fig.Series[si].Y = append(fig.Series[si].Y, r.Throughput()/rBase.Throughput())
@@ -235,18 +195,18 @@ func Fig1b(sc Scale) Figure {
 		t1.Name = "TLSTM-1-" + mode.tag
 		t2.Name = "TLSTM-2-" + mode.tag
 		for _, clients := range Fig1bClients {
-			base := sc.newSTM()
-			mBase := vacation.NewManager(base.Direct(), 1024)
-			vacation.Populate(base.Direct(), mBase, p)
-			rBase := RunSTM(base, vacationWorkload(mBase, p, sw.Name, clients, 1, sc.Fig1bTx))
+			base := sc.build(SwissTM, 1)
+			mBase := vacation.NewManager(base.Direct, 1024)
+			vacation.Populate(base.Direct, mBase, p)
+			rBase := base.Run(vacationWorkload(mBase, p, sw.Name, clients, 1, sc.Fig1bTx))
 			sw.X = append(sw.X, float64(clients))
 			sw.Y = append(sw.Y, rBase.Throughput())
 
 			for tasks, series := range map[int]*Series{1: &t1, 2: &t2} {
-				rt := sc.newTLSTM(tasks)
-				m := vacation.NewManager(rt.Direct(), 1024)
-				vacation.Populate(rt.Direct(), m, p)
-				r := RunTLSTM(rt, vacationWorkload(m, p, series.Name, clients, tasks, sc.Fig1bTx))
+				rt := sc.build(TLSTM, tasks)
+				m := vacation.NewManager(rt.Direct, 1024)
+				vacation.Populate(rt.Direct, m, p)
+				r := rt.Run(vacationWorkload(m, p, series.Name, clients, tasks, sc.Fig1bTx))
 				rt.Close()
 				series.X = append(series.X, float64(clients))
 				series.Y = append(series.Y, r.Throughput())
@@ -309,21 +269,21 @@ func Fig2a(sc Scale) Figure {
 			fig.Series[si].Y = append(fig.Series[si].Y, y)
 		}
 
-		base1 := sc.newSTM()
-		b1, err := sb7.Build(base1.Direct(), sb7.Default())
+		base1 := sc.build(SwissTM, 1)
+		b1, err := sb7.Build(base1.Direct, sb7.Default())
 		must(err)
-		addPoint(0, RunSTM(base1, sb7Workload(b1, "SwissTM-1", 1, 1, sc.SB7Tx, pct)).Throughput())
+		addPoint(0, base1.Run(sb7Workload(b1, "SwissTM-1", 1, 1, sc.SB7Tx, pct)).Throughput())
 
-		rt := sc.newTLSTM(3)
-		bt, err := sb7.Build(rt.Direct(), sb7.Default())
+		rt := sc.build(TLSTM, 3)
+		bt, err := sb7.Build(rt.Direct, sb7.Default())
 		must(err)
-		addPoint(1, RunTLSTM(rt, sb7Workload(bt, "TLSTM-1-3", 1, 3, sc.SB7Tx, pct)).Throughput())
+		addPoint(1, rt.Run(sb7Workload(bt, "TLSTM-1-3", 1, 3, sc.SB7Tx, pct)).Throughput())
 		rt.Close()
 
-		base3 := sc.newSTM()
-		b3, err := sb7.Build(base3.Direct(), sb7.Default())
+		base3 := sc.build(SwissTM, 1)
+		b3, err := sb7.Build(base3.Direct, sb7.Default())
 		must(err)
-		addPoint(2, RunSTM(base3, sb7Workload(b3, "SwissTM-3", 3, 1, sc.SB7Tx, pct)).Throughput())
+		addPoint(2, base3.Run(sb7Workload(b3, "SwissTM-3", 3, 1, sc.SB7Tx, pct)).Throughput())
 	}
 	return fig
 }
@@ -351,30 +311,23 @@ func Fig2b(sc Scale) Figure {
 	type cfg struct {
 		name    string
 		threads int
-		tasks   int // 0 = SwissTM baseline
+		rt      Runtime
+		tasks   int
 	}
 	var cfgs []cfg
 	for th := 1; th <= 3; th++ {
-		cfgs = append(cfgs, cfg{fmt.Sprintf("SwissTM-%d", th), th, 0})
-		cfgs = append(cfgs, cfg{fmt.Sprintf("TLSTM-%d-3", th), th, 3})
-		cfgs = append(cfgs, cfg{fmt.Sprintf("TLSTM-%d-9", th), th, 9})
+		cfgs = append(cfgs, cfg{fmt.Sprintf("SwissTM-%d", th), th, SwissTM, 1})
+		cfgs = append(cfgs, cfg{fmt.Sprintf("TLSTM-%d-3", th), th, TLSTM, 3})
+		cfgs = append(cfgs, cfg{fmt.Sprintf("TLSTM-%d-9", th), th, TLSTM, 9})
 	}
 	for _, c := range cfgs {
 		s := Series{Name: c.name}
 		for wi, wl := range Fig2bWorkloads {
-			var y float64
-			if c.tasks == 0 {
-				rt := sc.newSTM()
-				b, err := sb7.Build(rt.Direct(), sb7.Default())
-				must(err)
-				y = RunSTM(rt, sb7Workload(b, c.name, c.threads, 1, sc.SB7Tx, wl.PctRead)).Throughput()
-			} else {
-				rt := sc.newTLSTM(c.tasks)
-				b, err := sb7.Build(rt.Direct(), sb7.Default())
-				must(err)
-				y = RunTLSTM(rt, sb7Workload(b, c.name, c.threads, c.tasks, sc.SB7Tx, wl.PctRead)).Throughput()
-				rt.Close()
-			}
+			rt := sc.build(c.rt, c.tasks)
+			b, err := sb7.Build(rt.Direct, sb7.Default())
+			must(err)
+			y := rt.Run(sb7Workload(b, c.name, c.threads, c.tasks, sc.SB7Tx, wl.PctRead)).Throughput()
+			rt.Close()
 			s.X = append(s.X, float64(wi))
 			s.Y = append(s.Y, y)
 		}

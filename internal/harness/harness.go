@@ -1,20 +1,28 @@
 // Package harness drives the paper's four evaluation experiments
-// (Figures 1a, 1b, 2a, 2b) over the four runtimes (TLSTM, SwissTM, TL2
-// and the write-through STM) and reports throughput.
+// (Figures 1a, 1b, 2a, 2b) and the strategy sweeps over the four
+// runtimes (TLSTM, SwissTM, TL2 and the write-through STM) and reports
+// throughput.
 //
-// Hardware substitution (DESIGN.md §3): the paper measured wall-clock
-// throughput on 64-hardware-thread machines; the harness was built on a
-// single CPU, where speculative parallelism cannot shorten wall time,
-// and its figures must not depend on the core count. The runtimes
-// therefore count *work units* for every operation they
-// actually execute — reads, writes, validation steps, commit publishes,
-// including all aborted attempts — and the harness reports *virtual
-// time*: per user-transaction, its tasks start together and task k
-// finishes at max(own work, finish of k−1) plus a commit cost (commits
-// are serialized per thread); threads run in parallel, so a run's
-// virtual duration is the maximum per-thread virtual time. Conflicts
-// and rollbacks lengthen virtual time exactly where they lengthen the
-// paper's wall time. Wall-clock numbers are also recorded.
+// Every runtime is built from one Config through the runtime table
+// (SwissTM, TL2, WTSTM, TLSTM); every sweep is one entry of the Sweeps
+// table — points × workload mixes × runtimes, each cell on a fresh
+// runtime with its end state checked — and RegisterFlags gives both
+// cmds the same knob and sweep flags.
+//
+// Hardware substitution (README, "Reproducing the paper's figures"):
+// the paper measured wall-clock throughput on 64-hardware-thread
+// machines; the harness was built on a single CPU, where speculative
+// parallelism cannot shorten wall time, and its figures must not depend
+// on the core count. The runtimes therefore count *work units* for
+// every operation they actually execute — reads, writes, validation
+// steps, commit publishes, including all aborted attempts — and the
+// harness reports *virtual time*: per user-transaction, its tasks start
+// together and task k finishes at max(own work, finish of k−1) plus a
+// commit cost (commits are serialized per thread); threads run in
+// parallel, so a run's virtual duration is the maximum per-thread
+// virtual time. Conflicts and rollbacks lengthen virtual time exactly
+// where they lengthen the paper's wall time. Wall-clock numbers are
+// also recorded.
 package harness
 
 import (
@@ -25,13 +33,14 @@ import (
 	"tlstm/internal/clock"
 	"tlstm/internal/cm"
 	"tlstm/internal/core"
-	"tlstm/internal/locktable"
+	"tlstm/internal/mem"
 	"tlstm/internal/mode"
 	"tlstm/internal/sched"
 	"tlstm/internal/stm"
 	"tlstm/internal/tl2"
 	"tlstm/internal/tm"
 	"tlstm/internal/txstats"
+	"tlstm/internal/txtrace"
 	"tlstm/internal/wtstm"
 )
 
@@ -108,6 +117,30 @@ type Result struct {
 	txstats.Counters
 }
 
+// describer is the self-description every runtime exposes; newResult
+// copies it into a run's Result.
+type describer interface {
+	ClockName() string
+	CMName() string
+	MVDepth() int
+	Shards() int
+	PlacementName() string
+}
+
+// newResult starts the Result of a run of w on rt that began at start.
+func newResult(w Workload, rt describer, start time.Time) Result {
+	return Result{
+		Label:     w.Name,
+		Ops:       uint64(w.Threads * w.TxPerThread * w.OpsPerTx),
+		Wall:      time.Since(start),
+		Clock:     rt.ClockName(),
+		CM:        rt.CMName(),
+		MV:        rt.MVDepth(),
+		Shards:    rt.Shards(),
+		Placement: rt.PlacementName(),
+	}
+}
+
 // fold adds one thread's shard to r. Threads run in parallel, so the
 // run's virtual duration is the longest thread's.
 func (r *Result) fold(commits, aborts, virtual uint64, c txstats.Counters) {
@@ -168,754 +201,214 @@ func (r Result) String() string {
 	return s
 }
 
-// RunSTM executes the workload on a fresh-thread pool over the SwissTM
-// baseline: each TxSeq runs as one flat transaction. Every thread runs
-// on its own stm.Worker, so statistics accumulate into unshared shards
-// (merged into the runtime aggregate at worker exit) and the hot path
-// reuses one pooled transaction descriptor per thread.
+// runThreads drives w on one goroutine per thread, each owning the
+// state newState made for it (a worker, thread or stats shard), and
+// folds every thread's state into the run's Result once all have
+// finished. atomic runs one transaction on a thread's state.
+func runThreads[S any](w Workload, rt describer, newState func() S,
+	atomic func(s S, seq TxSeq, readOnly bool), fold func(r *Result, s S)) Result {
+	start := time.Now()
+	states := make([]S, w.Threads)
+	for th := range states {
+		states[th] = newState()
+	}
+	var wg sync.WaitGroup
+	for th, s := range states {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < w.TxPerThread; i++ {
+				atomic(s, w.Make(th, i), w.declaredRO(th, i))
+			}
+		}()
+	}
+	wg.Wait()
+	res := newResult(w, rt, start)
+	for _, s := range states {
+		fold(&res, s)
+	}
+	return res
+}
+
+// run executes the sequence's bodies in order as one flat transaction.
+func (seq TxSeq) run(tx tm.Tx) {
+	for _, body := range seq {
+		body(tx)
+	}
+}
+
+// RunSTM executes the workload over the SwissTM baseline: each TxSeq
+// runs as one flat transaction. Every thread runs on its own
+// stm.Worker, so statistics accumulate into unshared shards (merged
+// into the runtime aggregate at worker exit) and the hot path reuses one
+// pooled transaction descriptor per thread.
 func RunSTM(rt *stm.Runtime, w Workload) Result {
-	start := time.Now()
-	workers := make([]*stm.Worker, w.Threads)
-	for th := range workers {
-		workers[th] = rt.NewWorker()
-	}
-	var wg sync.WaitGroup
-	for th := 0; th < w.Threads; th++ {
-		wg.Add(1)
-		go func(th int) {
-			defer wg.Done()
-			wk := workers[th]
-			for i := 0; i < w.TxPerThread; i++ {
-				seq := w.Make(th, i)
-				run := func(tx *stm.Tx) {
-					for _, body := range seq {
-						body(tx)
-					}
-				}
-				if w.declaredRO(th, i) {
-					wk.AtomicRO(run)
-				} else {
-					wk.Atomic(run)
-				}
+	return runThreads(w, rt, rt.NewWorker,
+		func(wk *stm.Worker, seq TxSeq, readOnly bool) {
+			atomic := wk.Atomic
+			if readOnly {
+				atomic = wk.AtomicRO
 			}
-		}(th)
-	}
-	wg.Wait()
-
-	res := Result{
-		Label:     w.Name,
-		Ops:       uint64(w.Threads * w.TxPerThread * w.OpsPerTx),
-		Wall:      time.Since(start),
-		Clock:     rt.ClockName(),
-		CM:        rt.CMName(),
-		MV:        rt.MVDepth(),
-		Shards:    rt.Shards(),
-		Placement: rt.PlacementName(),
-	}
-	for _, wk := range workers {
-		st := wk.Stats()
-		res.fold(st.Commits, st.Aborts, st.Work, st.Counters)
-		wk.Close() // merge the shard into the runtime aggregate
-	}
-	return res
+			atomic(func(tx *stm.Tx) { seq.run(tx) })
+		},
+		func(r *Result, wk *stm.Worker) {
+			st := wk.Stats()
+			r.fold(st.Commits, st.Aborts, st.Work, st.Counters)
+			wk.Close() // merge the shard into the runtime aggregate
+		})
 }
 
-// runFlat drives a flat-transaction runtime: one goroutine per thread,
-// each TxSeq concatenated into one transaction (routed through atomicRO
-// when the workload declares it read-only), per-thread statistics
-// folded into the shared Result shape (shard reports one thread's
-// commits, aborts and counters). RunTL2 and RunWTSTM are thin wrappers
-// so the fan-out/fold logic exists once.
-func runFlat[S any](w Workload, clockName, cmName string, mvDepth, shards int, placement string,
-	atomic, atomicRO func(st *S, run func(tm.Tx)), shard func(S) (commits, aborts uint64, c txstats.Counters)) Result {
-	start := time.Now()
-	stats := make([]S, w.Threads)
-	var wg sync.WaitGroup
-	for th := 0; th < w.Threads; th++ {
-		wg.Add(1)
-		go func(th int) {
-			defer wg.Done()
-			for i := 0; i < w.TxPerThread; i++ {
-				seq := w.Make(th, i)
-				run := func(tx tm.Tx) {
-					for _, body := range seq {
-						body(tx)
-					}
-				}
-				if w.declaredRO(th, i) {
-					atomicRO(&stats[th], run)
-				} else {
-					atomic(&stats[th], run)
-				}
-			}
-		}(th)
-	}
-	wg.Wait()
-
-	res := Result{
-		Label:     w.Name,
-		Ops:       uint64(w.Threads * w.TxPerThread * w.OpsPerTx),
-		Wall:      time.Since(start),
-		Clock:     clockName,
-		CM:        cmName,
-		MV:        mvDepth,
-		Shards:    shards,
-		Placement: placement,
-	}
-	for _, s := range stats {
-		commits, aborts, c := shard(s)
-		res.fold(commits, aborts, c.Work, c)
-	}
-	return res
-}
-
-// RunTL2 executes the workload on the TL2 baseline.
+// RunTL2 executes the workload on the TL2 baseline, one flat
+// transaction per TxSeq.
 func RunTL2(rt *tl2.Runtime, w Workload) Result {
-	return runFlat(w, rt.ClockName(), rt.CMName(), rt.MVDepth(), rt.Shards(), rt.PlacementName(),
-		func(st *tl2.Stats, run func(tm.Tx)) {
-			rt.Atomic(st, func(tx *tl2.Tx) { run(tx) })
+	return runThreads(w, rt, func() *tl2.Stats { return new(tl2.Stats) },
+		func(st *tl2.Stats, seq TxSeq, readOnly bool) {
+			atomic := rt.Atomic
+			if readOnly {
+				atomic = rt.AtomicRO
+			}
+			atomic(st, func(tx *tl2.Tx) { seq.run(tx) })
 		},
-		func(st *tl2.Stats, run func(tm.Tx)) {
-			rt.AtomicRO(st, func(tx *tl2.Tx) { run(tx) })
-		},
-		func(st tl2.Stats) (uint64, uint64, txstats.Counters) { return st.Commits, st.Aborts, st.Counters })
+		func(r *Result, st *tl2.Stats) { r.fold(st.Commits, st.Aborts, st.Work, st.Counters) })
 }
 
-// RunWTSTM executes the workload on the write-through STM.
+// RunWTSTM executes the workload on the write-through STM, one flat
+// transaction per TxSeq.
 func RunWTSTM(rt *wtstm.Runtime, w Workload) Result {
-	return runFlat(w, rt.ClockName(), rt.CMName(), rt.MVDepth(), rt.Shards(), rt.PlacementName(),
-		func(st *wtstm.Stats, run func(tm.Tx)) {
-			rt.Atomic(st, func(tx *wtstm.Tx) { run(tx) })
+	return runThreads(w, rt, func() *wtstm.Stats { return new(wtstm.Stats) },
+		func(st *wtstm.Stats, seq TxSeq, readOnly bool) {
+			atomic := rt.Atomic
+			if readOnly {
+				atomic = rt.AtomicRO
+			}
+			atomic(st, func(tx *wtstm.Tx) { seq.run(tx) })
 		},
-		func(st *wtstm.Stats, run func(tm.Tx)) {
-			rt.AtomicRO(st, func(tx *wtstm.Tx) { run(tx) })
-		},
-		func(st wtstm.Stats) (uint64, uint64, txstats.Counters) { return st.Commits, st.Aborts, st.Counters })
+		func(r *Result, st *wtstm.Stats) { r.fold(st.Commits, st.Aborts, st.Work, st.Counters) })
 }
 
 // RunTLSTM executes the workload over TLSTM: each TxSeq element becomes
 // one speculative task. The runtime's SpecDepth must be at least the
 // longest TxSeq.
 func RunTLSTM(rt *core.Runtime, w Workload) Result {
-	start := time.Now()
-	threads := make([]*core.Thread, w.Threads)
-	for th := range threads {
-		threads[th] = rt.NewThread()
-	}
-	var wg sync.WaitGroup
-	for th := 0; th < w.Threads; th++ {
-		wg.Add(1)
-		go func(th int) {
-			defer wg.Done()
-			thr := threads[th]
-			for i := 0; i < w.TxPerThread; i++ {
-				seq := w.Make(th, i)
-				fns := make([]core.TaskFunc, len(seq))
-				for j, body := range seq {
-					body := body
-					fns[j] = func(tk *core.Task) { body(tk) }
-				}
-				var err error
-				if w.declaredRO(th, i) {
-					err = thr.AtomicRO(fns...)
-				} else {
-					err = thr.Atomic(fns...)
-				}
-				if err != nil {
-					panic(fmt.Sprintf("harness: %v", err))
-				}
+	return runThreads(w, rt, rt.NewThread,
+		func(thr *core.Thread, seq TxSeq, readOnly bool) {
+			fns := make([]core.TaskFunc, len(seq))
+			for j, body := range seq {
+				fns[j] = func(tk *core.Task) { body(tk) }
 			}
+			atomic := thr.Atomic
+			if readOnly {
+				atomic = thr.AtomicRO
+			}
+			if err := atomic(fns...); err != nil {
+				panic(fmt.Sprintf("harness: %v", err))
+			}
+		},
+		func(r *Result, thr *core.Thread) {
 			thr.Sync()
-		}(th)
-	}
-	wg.Wait()
-
-	res := Result{
-		Label:     w.Name,
-		Ops:       uint64(w.Threads * w.TxPerThread * w.OpsPerTx),
-		Wall:      time.Since(start),
-		Clock:     rt.ClockName(),
-		CM:        rt.CMName(),
-		MV:        rt.MVDepth(),
-		Shards:    rt.Shards(),
-		Placement: rt.PlacementName(),
-	}
-	for _, thr := range threads {
-		st := thr.Stats()
-		res.fold(st.TxCommitted, st.TxAborted, st.VirtualTime, st.Counters)
-		res.TaskRestarts += st.TaskRestarts
-		res.WorkersSpawned += st.WorkersSpawned
-		res.DescriptorReuses += st.DescriptorReuses
-	}
-	return res
+			st := thr.Stats()
+			r.fold(st.TxCommitted, st.TxAborted, st.VirtualTime, st.Counters)
+			r.TaskRestarts += st.TaskRestarts
+			r.WorkersSpawned += st.WorkersSpawned
+			r.DescriptorReuses += st.DescriptorReuses
+		})
 }
 
-// CompareSched runs one identical depth-1 counter workload under each
-// scheduling policy (sched.Pooled and sched.Inline) and reports both
-// measurements. Virtual time is policy-independent by construction —
-// the same work units are charged either way — so the interesting
-// column is Wall: the per-task cost of the worker wake/park protocol
-// against running the body on the submitting goroutine.
-func CompareSched(threads, txPerThread int) []Result {
-	mk := func(policy sched.Policy, label string) Result {
-		rt := core.New(core.Config{SpecDepth: 1, Policy: policy})
-		defer rt.Close()
-		base := rt.Direct().Alloc(threads)
-		w := Workload{
-			Name:        label,
-			Threads:     threads,
-			TxPerThread: txPerThread,
-			OpsPerTx:    1,
-			Make: func(thread, idx int) TxSeq {
-				a := base + tm.Addr(thread)
-				return TxSeq{func(tx tm.Tx) { tx.Store(a, tx.Load(a)+1) }}
-			},
-		}
-		return RunTLSTM(rt, w)
-	}
-	return []Result{
-		mk(sched.Pooled, fmt.Sprintf("TLSTM-%d-1-pooled", threads)),
-		mk(sched.Inline, fmt.Sprintf("TLSTM-%d-1-inline", threads)),
-	}
+// Config is the configuration a figure point or sweep cell builds its
+// runtime with. The zero value is every runtime's default.
+type Config struct {
+	// Clock is the commit-clock strategy; the zero value is GV4.
+	Clock clock.Kind
+	// CM is the contention-management policy; the zero value keeps each
+	// runtime's own default (greedy for SwissTM, task-aware for TLSTM,
+	// suicide for TL2 and wtstm).
+	CM cm.Kind
+	// Mode is the execution-mode ladder config; the zero value is
+	// always-speculative.
+	Mode mode.Config
+	// MV is the retained version depth; 0 disables multi-versioning.
+	MV int
+	// Shards is the lock-table shard count; 0 or 1 keeps the flat table.
+	Shards int
+	// Affinity selects conflict-sketch thread placement instead of static
+	// round-robin; it only matters with Shards > 1.
+	Affinity bool
+	// Trace, when non-nil, arms the flight recorder; rings are labeled
+	// per runtime thread.
+	Trace *txtrace.Recorder
+	// SpecDepth (tasks per transaction) and Sched (spawn policy)
+	// configure TLSTM's task scheduler; the flat runtimes ignore them.
+	SpecDepth int
+	Sched     sched.Policy
 }
 
-// clockSweepWorkload is the CompareClocks workload: write-heavy with a
-// shared hot word. Every transaction reads the hot word and increments
-// the thread's private counter; every fourth also increments the hot
-// word. The private writes make every transaction a committer (commit
-// clock pressure); the shared reads force each thread to keep meeting
-// other threads' fresh stamps (snapshot-extension pressure). Both sides
-// of the strategy trade-off are therefore exercised at once.
-func clockSweepWorkload(name string, base tm.Addr, threads, txPerThread int) Workload {
-	return Workload{
-		Name:        name,
-		Threads:     threads,
-		TxPerThread: txPerThread,
-		OpsPerTx:    2,
-		Make: func(thread, idx int) TxSeq {
-			hot := base
-			mine := base + 1 + tm.Addr(thread)
-			shared := idx%4 == 0
-			return TxSeq{func(tx tm.Tx) {
-				h := tx.Load(hot)
-				tx.Store(mine, tx.Load(mine)+1)
-				if shared {
-					tx.Store(hot, h+1)
-				}
-			}}
-		},
+// Instance is one runtime built from a Config: its non-transactional
+// view, for setup and end-state checks, and its runner.
+type Instance struct {
+	Direct mem.Direct
+	mode   string
+	run    func(Workload) Result
+	close  func()
+}
+
+// Run executes w and labels the result with the instance's mode policy.
+func (in Instance) Run(w Workload) Result {
+	r := in.run(w)
+	r.Mode = in.mode
+	return r
+}
+
+// Close drains the runtime's worker pools (a no-op for the flat
+// runtimes).
+func (in Instance) Close() {
+	if in.close != nil {
+		in.close()
 	}
 }
 
-// checkClockSweep verifies the sweep's end state: with the workload
-// above, the hot word must hold the exact number of hot increments and
-// each private counter its thread's transaction count — a cheap
-// atomicity check that runs under every strategy.
-func checkClockSweep(load func(tm.Addr) uint64, base tm.Addr, threads, txPerThread int) {
-	hotWant := uint64(threads * ((txPerThread + 3) / 4))
-	if got := load(base); got != hotWant {
-		panic(fmt.Sprintf("harness: clock sweep hot counter = %d, want %d (atomicity violated)", got, hotWant))
-	}
-	for th := 0; th < threads; th++ {
-		if got := load(base + 1 + tm.Addr(th)); got != uint64(txPerThread) {
-			panic(fmt.Sprintf("harness: clock sweep thread %d counter = %d, want %d", th, got, txPerThread))
-		}
-	}
+// Runtime is one entry of the runtime table.
+type Runtime struct {
+	Name  string
+	build func(Config) Instance
 }
 
-// CompareClocks runs one identical write-heavy workload on all four
-// runtimes under each commit-clock strategy (gv4, deferred, sharded)
-// and reports every measurement: throughput, abort rate, snapshot
-// extensions and clock CAS retries per strategy, across the whole
-// runtime matrix at once. Each run's end state is invariant-checked, so
-// the sweep doubles as a cross-runtime atomicity test for the
-// strategies.
-func CompareClocks(threads, txPerThread int) []Result {
-	var out []Result
-	for _, kind := range clock.Kinds() {
-		{
-			rt := stm.New(stm.WithClock(clock.New(kind)))
-			base := rt.Direct().Alloc(threads + 1)
-			w := clockSweepWorkload("SwissTM/"+kind.String(), base, threads, txPerThread)
-			out = append(out, RunSTM(rt, w))
-			checkClockSweep(rt.Direct().Load, base, threads, txPerThread)
-		}
-		{
-			rt := tl2.New(20, tl2.WithClock(clock.New(kind)))
-			base := rt.Direct().Alloc(threads + 1)
-			w := clockSweepWorkload("TL2/"+kind.String(), base, threads, txPerThread)
-			out = append(out, RunTL2(rt, w))
-			checkClockSweep(rt.Direct().Load, base, threads, txPerThread)
-		}
-		{
-			rt := wtstm.New(20, wtstm.WithClock(clock.New(kind)))
-			base := rt.Direct().Alloc(threads + 1)
-			w := clockSweepWorkload("wtstm/"+kind.String(), base, threads, txPerThread)
-			out = append(out, RunWTSTM(rt, w))
-			checkClockSweep(rt.Direct().Load, base, threads, txPerThread)
-		}
-		{
-			rt := core.New(core.Config{SpecDepth: 1, Clock: clock.New(kind)})
-			base := rt.Direct().Alloc(threads + 1)
-			w := clockSweepWorkload("TLSTM/"+kind.String(), base, threads, txPerThread)
-			out = append(out, RunTLSTM(rt, w))
-			checkClockSweep(rt.Direct().Load, base, threads, txPerThread)
-			rt.Close()
-		}
-	}
-	return out
+// New builds the runtime under c.
+func (r Runtime) New(c Config) Instance {
+	in := r.build(c)
+	in.mode = c.Mode.Policy.String()
+	return in
 }
 
-// cmSweepFill is the number of private filler reads each CompareCM
-// transaction performs while holding the hot word's write lock. The
-// filler pushes every transaction past the yield quantum, so on the
-// single-CPU simulator transactions genuinely overlap — and because
-// eager runtimes take the hot lock before the filler, the lock is held
-// across a scheduler slice and every other thread's increment runs
-// into it: exactly the sustained write/write conflict the contention
-// managers exist to resolve.
-const cmSweepFill = 48
+// The runtime table: the only place the harness constructs a runtime.
+var (
+	SwissTM = Runtime{"SwissTM", func(c Config) Instance {
+		rt := stm.New(stm.WithClock(clock.New(c.Clock)), stm.WithCM(cm.New(c.CM)),
+			stm.WithMultiVersion(c.MV), stm.WithTrace(c.Trace),
+			stm.WithShards(c.Shards), stm.WithAffinity(c.Affinity), stm.WithMode(c.Mode))
+		return Instance{Direct: rt.Direct(), run: func(w Workload) Result { return RunSTM(rt, w) }}
+	}}
+	TL2 = Runtime{"TL2", func(c Config) Instance {
+		rt := tl2.New(stm.DefaultLockTableBits, tl2.WithClock(clock.New(c.Clock)), tl2.WithCM(cm.New(c.CM)),
+			tl2.WithMultiVersion(c.MV), tl2.WithTrace(c.Trace),
+			tl2.WithShards(c.Shards), tl2.WithAffinity(c.Affinity), tl2.WithMode(c.Mode))
+		return Instance{Direct: rt.Direct(), run: func(w Workload) Result { return RunTL2(rt, w) }}
+	}}
+	WTSTM = Runtime{"wtstm", func(c Config) Instance {
+		rt := wtstm.New(stm.DefaultLockTableBits, wtstm.WithClock(clock.New(c.Clock)), wtstm.WithCM(cm.New(c.CM)),
+			wtstm.WithMultiVersion(c.MV), wtstm.WithTrace(c.Trace),
+			wtstm.WithShards(c.Shards), wtstm.WithAffinity(c.Affinity), wtstm.WithMode(c.Mode))
+		return Instance{Direct: rt.Direct(), run: func(w Workload) Result { return RunWTSTM(rt, w) }}
+	}}
+	TLSTM = Runtime{"TLSTM", func(c Config) Instance {
+		rt := core.New(core.Config{SpecDepth: c.SpecDepth, Policy: c.Sched,
+			Clock: clock.New(c.Clock), CM: cm.New(c.CM), MVDepth: c.MV, Trace: c.Trace,
+			Shards: c.Shards, Affinity: c.Affinity, Mode: c.Mode})
+		return Instance{Direct: rt.Direct(), run: func(w Workload) Result { return RunTLSTM(rt, w) }, close: rt.Close}
+	}}
+)
 
-// cmSweepAlloc is the number of words a CompareCM runtime must
-// allocate: the hot word, one private counter per thread, and each
-// thread's filler region.
-func cmSweepAlloc(threads int) int { return 1 + threads + threads*cmSweepFill }
-
-// cmSweepWorkload is the CompareCM workload: every transaction
-// increments one shared hot word (taking its write lock first), reads
-// its thread's filler region while holding it, and increments the
-// thread's private counter (so every transaction is a committer).
-func cmSweepWorkload(name string, base tm.Addr, threads, txPerThread int) Workload {
-	return Workload{
-		Name:        name,
-		Threads:     threads,
-		TxPerThread: txPerThread,
-		OpsPerTx:    2,
-		Make: func(thread, idx int) TxSeq {
-			hot := base
-			mine := base + 1 + tm.Addr(thread)
-			fill := base + 1 + tm.Addr(threads) + tm.Addr(thread*cmSweepFill)
-			return TxSeq{func(tx tm.Tx) {
-				tx.Store(hot, tx.Load(hot)+1)
-				var sink uint64
-				for j := 0; j < cmSweepFill; j++ {
-					sink += tx.Load(fill + tm.Addr(j))
-				}
-				tx.Store(mine, tx.Load(mine)+1+sink)
-			}}
-		},
-	}
-}
-
-// checkCMSweep verifies the sweep's end state: the hot word must hold
-// exactly one increment per transaction and each private counter its
-// thread's transaction count — a cross-runtime atomicity check that
-// runs under every policy, so a policy that drops, doubles or tears an
-// update is caught by the sweep itself.
-func checkCMSweep(load func(tm.Addr) uint64, base tm.Addr, threads, txPerThread int) {
-	if got, want := load(base), uint64(threads*txPerThread); got != want {
-		panic(fmt.Sprintf("harness: cm sweep hot counter = %d, want %d (atomicity violated)", got, want))
-	}
-	for th := 0; th < threads; th++ {
-		if got := load(base + 1 + tm.Addr(th)); got != uint64(txPerThread) {
-			panic(fmt.Sprintf("harness: cm sweep thread %d counter = %d, want %d", th, got, txPerThread))
-		}
-	}
-}
-
-// CompareCM runs one identical write-contended workload on all four
-// runtimes under each contention-management policy (suicide, backoff,
-// greedy, karma, taskaware) and reports every measurement: throughput,
-// abort rate, and the policy's decision counters (conflicts resolved
-// against the requester and against the owner, backoff yields charged).
-// Each run's end state is invariant-checked, so the sweep doubles as a
-// cross-runtime atomicity test for the policies.
-func CompareCM(threads, txPerThread int) []Result {
-	var out []Result
-	for _, kind := range cm.Kinds() {
-		{
-			rt := stm.New(stm.WithCM(cm.New(kind)))
-			base := rt.Direct().Alloc(cmSweepAlloc(threads))
-			w := cmSweepWorkload("SwissTM/"+kind.String(), base, threads, txPerThread)
-			out = append(out, RunSTM(rt, w))
-			checkCMSweep(rt.Direct().Load, base, threads, txPerThread)
-		}
-		{
-			rt := tl2.New(20, tl2.WithCM(cm.New(kind)))
-			base := rt.Direct().Alloc(cmSweepAlloc(threads))
-			w := cmSweepWorkload("TL2/"+kind.String(), base, threads, txPerThread)
-			out = append(out, RunTL2(rt, w))
-			checkCMSweep(rt.Direct().Load, base, threads, txPerThread)
-		}
-		{
-			rt := wtstm.New(20, wtstm.WithCM(cm.New(kind)))
-			base := rt.Direct().Alloc(cmSweepAlloc(threads))
-			w := cmSweepWorkload("wtstm/"+kind.String(), base, threads, txPerThread)
-			out = append(out, RunWTSTM(rt, w))
-			checkCMSweep(rt.Direct().Load, base, threads, txPerThread)
-		}
-		{
-			rt := core.New(core.Config{SpecDepth: 1, CM: cm.New(kind)})
-			base := rt.Direct().Alloc(cmSweepAlloc(threads))
-			w := cmSweepWorkload("TLSTM/"+kind.String(), base, threads, txPerThread)
-			out = append(out, RunTLSTM(rt, w))
-			checkCMSweep(rt.Direct().Load, base, threads, txPerThread)
-			rt.Close()
-		}
-	}
-	return out
-}
-
-// CompareModes runs the CompareCM conflict storm (karma contention
-// management, one hot word) on all four runtimes under each execution
-// mode policy — always-speculative, the adaptive ladder, and
-// always-serialized — and reports throughput, abort rate and the
-// ladder's fallback/recovery counters per policy. The storm is exactly
-// the workload the serialized rung exists for, so the sweep measures
-// what fallback buys (and what the serial rung costs when contention is
-// absent the ladder still pays nothing: it only engages on pressure).
-// Each run's end state is invariant-checked.
-func CompareModes(threads, txPerThread int) []Result {
-	var out []Result
-	tag := func(r Result, pol mode.Policy) Result {
-		r.Mode = pol.String()
-		return r
-	}
-	for _, pol := range mode.Policies() {
-		mc := mode.Config{Policy: pol}
-		{
-			rt := stm.New(stm.WithCM(cm.New(cm.KindKarma)), stm.WithMode(mc))
-			base := rt.Direct().Alloc(cmSweepAlloc(threads))
-			w := cmSweepWorkload("SwissTM/"+pol.String(), base, threads, txPerThread)
-			out = append(out, tag(RunSTM(rt, w), pol))
-			checkCMSweep(rt.Direct().Load, base, threads, txPerThread)
-		}
-		{
-			rt := tl2.New(20, tl2.WithCM(cm.New(cm.KindKarma)), tl2.WithMode(mc))
-			base := rt.Direct().Alloc(cmSweepAlloc(threads))
-			w := cmSweepWorkload("TL2/"+pol.String(), base, threads, txPerThread)
-			out = append(out, tag(RunTL2(rt, w), pol))
-			checkCMSweep(rt.Direct().Load, base, threads, txPerThread)
-		}
-		{
-			rt := wtstm.New(20, wtstm.WithCM(cm.New(cm.KindKarma)), wtstm.WithMode(mc))
-			base := rt.Direct().Alloc(cmSweepAlloc(threads))
-			w := cmSweepWorkload("wtstm/"+pol.String(), base, threads, txPerThread)
-			out = append(out, tag(RunWTSTM(rt, w), pol))
-			checkCMSweep(rt.Direct().Load, base, threads, txPerThread)
-		}
-		{
-			rt := core.New(core.Config{SpecDepth: 1, CM: cm.New(cm.KindKarma), Mode: mc})
-			base := rt.Direct().Alloc(cmSweepAlloc(threads))
-			w := cmSweepWorkload("TLSTM/"+pol.String(), base, threads, txPerThread)
-			out = append(out, tag(RunTLSTM(rt, w), pol))
-			checkCMSweep(rt.Direct().Load, base, threads, txPerThread)
-			rt.Close()
-		}
-	}
-	return out
-}
-
-// mvSweepWords is the number of shared accounts the CompareMV workload
-// scans: large enough that a read-only transaction's validated read set
-// is worth eliding, small enough that writers keep every account warm.
-const mvSweepWords = 32
-
-// mvScanPasses is how many times a read-only scan traverses the
-// accounts. The scan must outlast the yield quantum (see the runtimes'
-// forced-interleaving grain) so writers commit mid-scan: that is what
-// makes the validated path pay for extensions, revalidations and
-// (TL2) aborts that the wait-free path never performs.
-const mvScanPasses = 4
-
-// readMostlyWorkload is the CompareMV workload at a given read/write
-// mix: one transaction in writerEvery is a writer that transfers one
-// unit between two accounts (total preserved), the rest are declared
-// read-only scans summing every account. Because transfers conserve the
-// (wrapping) total, any consistent snapshot sums to zero — each scan
-// asserts it, so every multi-version read is checked against tearing
-// and too-new values, not just the end state.
-func readMostlyWorkload(name string, base tm.Addr, threads, txPerThread, writerEvery int) Workload {
-	return Workload{
-		Name:        name,
-		Threads:     threads,
-		TxPerThread: txPerThread,
-		OpsPerTx:    1,
-		Make: func(thread, idx int) TxSeq {
-			if idx%writerEvery == 0 {
-				src := (thread*7 + idx) % mvSweepWords
-				dst := (src + 1 + idx%(mvSweepWords-1)) % mvSweepWords
-				return TxSeq{func(tx tm.Tx) {
-					tx.Store(base+tm.Addr(src), tx.Load(base+tm.Addr(src))-1)
-					tx.Store(base+tm.Addr(dst), tx.Load(base+tm.Addr(dst))+1)
-				}}
-			}
-			return TxSeq{func(tx tm.Tx) {
-				var sum uint64
-				for p := 0; p < mvScanPasses; p++ {
-					for j := 0; j < mvSweepWords; j++ {
-						sum += tx.Load(base + tm.Addr(j))
-					}
-				}
-				if sum != 0 {
-					panic(fmt.Sprintf("harness: mv sweep scan saw inconsistent snapshot (sum=%d, want 0)", sum))
-				}
-			}}
-		},
-		ReadOnly: func(thread, idx int) bool { return idx%writerEvery != 0 },
-	}
-}
-
-// checkMVSweep verifies the sweep's end state: transfers conserve the
-// wrapping account total, so the final sum must be zero.
-func checkMVSweep(load func(tm.Addr) uint64, base tm.Addr) {
-	var sum uint64
-	for j := 0; j < mvSweepWords; j++ {
-		sum += load(base + tm.Addr(j))
-	}
-	if sum != 0 {
-		panic(fmt.Sprintf("harness: mv sweep end state sum = %d, want 0 (atomicity violated)", sum))
-	}
-}
-
-// CompareMV runs the read-mostly account-scan workload on all four
-// runtimes at two read/write mixes (90/10 and 99/1) across retained
-// version depths K = 0 (multi-versioning off: every scan validates and
-// extends) through 3, and reports every measurement: throughput, abort
-// and extension counts, wait-free reads and fallback misses per depth.
-// Both the per-scan snapshot assertion and each run's end-state check
-// make the sweep a cross-runtime consistency test for the version
-// store.
-func CompareMV(threads, txPerThread int) []Result {
-	var out []Result
-	for _, mix := range []struct {
-		tag         string
-		writerEvery int
-	}{{"90-10", 10}, {"99-1", 100}} {
-		for k := 0; k <= 3; k++ {
-			label := func(rtName string) string {
-				return fmt.Sprintf("%s/%s/mv%d", rtName, mix.tag, k)
-			}
-			{
-				rt := stm.New(stm.WithMultiVersion(k))
-				base := rt.Direct().Alloc(mvSweepWords)
-				w := readMostlyWorkload(label("SwissTM"), base, threads, txPerThread, mix.writerEvery)
-				out = append(out, RunSTM(rt, w))
-				checkMVSweep(rt.Direct().Load, base)
-			}
-			{
-				rt := tl2.New(20, tl2.WithMultiVersion(k))
-				base := rt.Direct().Alloc(mvSweepWords)
-				w := readMostlyWorkload(label("TL2"), base, threads, txPerThread, mix.writerEvery)
-				out = append(out, RunTL2(rt, w))
-				checkMVSweep(rt.Direct().Load, base)
-			}
-			{
-				rt := wtstm.New(20, wtstm.WithMultiVersion(k))
-				base := rt.Direct().Alloc(mvSweepWords)
-				w := readMostlyWorkload(label("wtstm"), base, threads, txPerThread, mix.writerEvery)
-				out = append(out, RunWTSTM(rt, w))
-				checkMVSweep(rt.Direct().Load, base)
-			}
-			{
-				rt := core.New(core.Config{SpecDepth: 2, MVDepth: k})
-				base := rt.Direct().Alloc(mvSweepWords)
-				w := readMostlyWorkload(label("TLSTM"), base, threads, txPerThread, mix.writerEvery)
-				out = append(out, RunTLSTM(rt, w))
-				checkMVSweep(rt.Direct().Load, base)
-				rt.Close()
-			}
-		}
-	}
-	return out
-}
-
-// shardSweepFill is the number of private filler reads each hot-word
-// CompareShards transaction performs while holding the hot word's write
-// lock (same role as cmSweepFill: push transactions past the yield
-// quantum so they genuinely overlap on the single-CPU simulator).
-const shardSweepFill = 48
-
-// shardSweepAlloc is the number of words a CompareShards runtime
-// allocates: a probe region the hot word is picked from, one private
-// counter per thread, and each thread's filler region.
-func shardSweepAlloc(threads int) int {
-	return shardProbeWords + threads + threads*shardSweepFill
-}
-
-// shardProbeWords sizes the region scanned for a hot word that maps to
-// shard 0. The Fibonacci index spreads any address range about evenly
-// across shards, so a few hundred candidates always contain one.
-const shardProbeWords = 512
-
-// hotWordFor returns the first address in [base, base+shardProbeWords)
-// the layout maps to shard 0, so the sweep's contention concentrates in
-// one known shard regardless of the shard count.
-func hotWordFor(base tm.Addr, layout locktable.Layout) tm.Addr {
-	for off := 0; off < shardProbeWords; off++ {
-		if layout.ShardOf(base+tm.Addr(off)) == 0 {
-			return base + tm.Addr(off)
-		}
-	}
-	return base
-}
-
-// shardSweepWorkload is the hot-word CompareShards workload: every
-// transaction increments one shared hot word chosen to live in shard 0,
-// reads its thread's filler region while holding the lock, and
-// increments the thread's private counter. All contention lands in one
-// shard, which is the configuration sharding is about: under static
-// round-robin placement every thread homed elsewhere counts each
-// conflict as cross-shard, and the affinity policy should migrate every
-// thread's home onto the hot shard and drive that counter down.
-func shardSweepWorkload(name string, hot, counters, fillers tm.Addr, threads, txPerThread int) Workload {
-	return Workload{
-		Name:        name,
-		Threads:     threads,
-		TxPerThread: txPerThread,
-		OpsPerTx:    2,
-		Make: func(thread, idx int) TxSeq {
-			mine := counters + tm.Addr(thread)
-			fill := fillers + tm.Addr(thread*shardSweepFill)
-			return TxSeq{func(tx tm.Tx) {
-				tx.Store(hot, tx.Load(hot)+1)
-				var sink uint64
-				for j := 0; j < shardSweepFill; j++ {
-					sink += tx.Load(fill + tm.Addr(j))
-				}
-				tx.Store(mine, tx.Load(mine)+1+sink)
-			}}
-		},
-	}
-}
-
-// checkShardSweep verifies the hot-word sweep's end state (one hot
-// increment per transaction, one private increment per thread
-// transaction), so the sweep doubles as an atomicity check across shard
-// counts and placement policies.
-func checkShardSweep(load func(tm.Addr) uint64, hot, counters tm.Addr, threads, txPerThread int) {
-	if got, want := load(hot), uint64(threads*txPerThread); got != want {
-		panic(fmt.Sprintf("harness: shard sweep hot counter = %d, want %d (atomicity violated)", got, want))
-	}
-	for th := 0; th < threads; th++ {
-		if got := load(counters + tm.Addr(th)); got != uint64(txPerThread) {
-			panic(fmt.Sprintf("harness: shard sweep thread %d counter = %d, want %d", th, got, txPerThread))
-		}
-	}
-}
-
-// ShardCounts is the lock-table geometry CompareShards sweeps.
-var ShardCounts = []int{1, 2, 4, 8}
-
-// CompareShards sweeps lock-table shard counts (1 = flat) across all
-// four runtimes and two contention mixes — the hot-word mix above,
-// whose conflicts concentrate in one shard, and the diffuse 90/10
-// read-mostly account mix — and, at every sharded count, runs both
-// placement policies. The rows to read against each other: at N >= 2
-// the hot-word affinity legs should show Remaps > 0 and materially
-// fewer CrossShardConflicts than their static twins (threads migrate
-// onto the hot shard), while the diffuse mix's affinity legs should
-// show no remaps at all (no shard dominates a window); N = 1 is the
-// degenerate flat layout whose throughput bounds the sharding overhead.
-// Every run's end state is invariant-checked.
-func CompareShards(threads, txPerThread int) []Result {
-	var out []Result
-	type leg struct {
-		shards   int
-		affinity bool
-	}
-	var legs []leg
-	for _, n := range ShardCounts {
-		legs = append(legs, leg{n, false})
-		if n > 1 {
-			legs = append(legs, leg{n, true})
-		}
-	}
-	label := func(rtName, mix string, l leg) string {
-		p := "static"
-		if l.affinity {
-			p = "affinity"
-		}
-		return fmt.Sprintf("%s/%s/s%d/%s", rtName, mix, l.shards, p)
-	}
-	for _, l := range legs {
-		layout := locktable.NewLayout(stm.DefaultLockTableBits, l.shards)
-		hotRun := func(rtName string, direct func() (tm.Addr, func(tm.Addr) uint64), run func(Workload) Result) {
-			base, load := direct()
-			hot := hotWordFor(base, layout)
-			counters := base + tm.Addr(shardProbeWords)
-			fillers := counters + tm.Addr(threads)
-			w := shardSweepWorkload(label(rtName, "hot", l), hot, counters, fillers, threads, txPerThread)
-			out = append(out, run(w))
-			checkShardSweep(load, hot, counters, threads, txPerThread)
-		}
-		mixRun := func(rtName string, direct func() (tm.Addr, func(tm.Addr) uint64), run func(Workload) Result) {
-			base, load := direct()
-			w := readMostlyWorkload(label(rtName, "90-10", l), base, threads, txPerThread, 10)
-			out = append(out, run(w))
-			checkMVSweep(load, base)
-		}
-		{
-			rt := stm.New(stm.WithShards(l.shards), stm.WithAffinity(l.affinity))
-			hotRun("SwissTM",
-				func() (tm.Addr, func(tm.Addr) uint64) {
-					return rt.Direct().Alloc(shardSweepAlloc(threads)), rt.Direct().Load
-				},
-				func(w Workload) Result { return RunSTM(rt, w) })
-			rt2 := stm.New(stm.WithShards(l.shards), stm.WithAffinity(l.affinity))
-			mixRun("SwissTM",
-				func() (tm.Addr, func(tm.Addr) uint64) {
-					return rt2.Direct().Alloc(mvSweepWords), rt2.Direct().Load
-				},
-				func(w Workload) Result { return RunSTM(rt2, w) })
-		}
-		{
-			rt := tl2.New(stm.DefaultLockTableBits, tl2.WithShards(l.shards), tl2.WithAffinity(l.affinity))
-			hotRun("TL2",
-				func() (tm.Addr, func(tm.Addr) uint64) {
-					return rt.Direct().Alloc(shardSweepAlloc(threads)), rt.Direct().Load
-				},
-				func(w Workload) Result { return RunTL2(rt, w) })
-			rt2 := tl2.New(stm.DefaultLockTableBits, tl2.WithShards(l.shards), tl2.WithAffinity(l.affinity))
-			mixRun("TL2",
-				func() (tm.Addr, func(tm.Addr) uint64) {
-					return rt2.Direct().Alloc(mvSweepWords), rt2.Direct().Load
-				},
-				func(w Workload) Result { return RunTL2(rt2, w) })
-		}
-		{
-			rt := wtstm.New(stm.DefaultLockTableBits, wtstm.WithShards(l.shards), wtstm.WithAffinity(l.affinity))
-			hotRun("wtstm",
-				func() (tm.Addr, func(tm.Addr) uint64) {
-					return rt.Direct().Alloc(shardSweepAlloc(threads)), rt.Direct().Load
-				},
-				func(w Workload) Result { return RunWTSTM(rt, w) })
-			rt2 := wtstm.New(stm.DefaultLockTableBits, wtstm.WithShards(l.shards), wtstm.WithAffinity(l.affinity))
-			mixRun("wtstm",
-				func() (tm.Addr, func(tm.Addr) uint64) {
-					return rt2.Direct().Alloc(mvSweepWords), rt2.Direct().Load
-				},
-				func(w Workload) Result { return RunWTSTM(rt2, w) })
-		}
-		{
-			rt := core.New(core.Config{SpecDepth: 1, Shards: l.shards, Affinity: l.affinity})
-			hotRun("TLSTM",
-				func() (tm.Addr, func(tm.Addr) uint64) {
-					return rt.Direct().Alloc(shardSweepAlloc(threads)), rt.Direct().Load
-				},
-				func(w Workload) Result { return RunTLSTM(rt, w) })
-			rt.Close()
-			rt2 := core.New(core.Config{SpecDepth: 1, Shards: l.shards, Affinity: l.affinity})
-			mixRun("TLSTM",
-				func() (tm.Addr, func(tm.Addr) uint64) {
-					return rt2.Direct().Alloc(mvSweepWords), rt2.Direct().Load
-				},
-				func(w Workload) Result { return RunTLSTM(rt2, w) })
-			rt2.Close()
-		}
-	}
-	return out
-}
+// Runtimes lists the runtime table in report order.
+var Runtimes = []Runtime{SwissTM, TL2, WTSTM, TLSTM}
 
 // Series is one plotted line: label plus (x, throughput) points.
 type Series struct {
@@ -930,6 +423,16 @@ type Figure struct {
 	XLabel string
 	YLabel string
 	Series []Series
+}
+
+// Lookup returns the series named name (empty when the figure has none).
+func (f Figure) Lookup(name string) Series {
+	for _, s := range f.Series {
+		if s.Name == name {
+			return s
+		}
+	}
+	return Series{}
 }
 
 // CSV renders the figure as comma-separated values with a header row,

@@ -8,7 +8,6 @@ import (
 	"tlstm/internal/clock"
 	"tlstm/internal/cm"
 	"tlstm/internal/core"
-	"tlstm/internal/locktable"
 	"tlstm/internal/mode"
 	"tlstm/internal/sb7"
 	"tlstm/internal/stm"
@@ -16,6 +15,74 @@ import (
 	"tlstm/internal/tm"
 	"tlstm/internal/wtstm"
 )
+
+// sweepNamed returns the Sweeps entry selected by flag.
+func sweepNamed(t *testing.T, flag string) Sweep {
+	t.Helper()
+	for _, s := range Sweeps {
+		if s.Flag == flag {
+			return s
+		}
+	}
+	t.Fatalf("no sweep with flag %q", flag)
+	return Sweep{}
+}
+
+// Every Sweeps entry, at tiny size: one row per point × mix × runtime
+// in that order, unique labels, every row committing all its
+// transactions and carrying its point's axis values, so a new entry is
+// covered without a test of its own.
+func TestSweepsTable(t *testing.T) {
+	const threads, txPerThread = 2, 20
+	flags := map[string]bool{}
+	for _, s := range Sweeps {
+		t.Run(s.Flag, func(t *testing.T) {
+			if flags[s.Flag] {
+				t.Fatalf("duplicate sweep flag %q", s.Flag)
+			}
+			flags[s.Flag] = true
+			rts := s.Runtimes
+			if rts == nil {
+				rts = Runtimes
+			}
+			rs := s.Run(threads, txPerThread)
+			if want := len(s.Points) * len(s.Mixes) * len(rts); len(rs) != want {
+				t.Fatalf("%d rows, want %d (%d points × %d mixes × %d runtimes)",
+					len(rs), want, len(s.Points), len(s.Mixes), len(rts))
+			}
+			labels := map[string]bool{}
+			i := 0
+			for _, p := range s.Points {
+				for range s.Mixes {
+					for _, rt := range rts {
+						r, c := rs[i], p.Config
+						i++
+						if labels[r.Label] {
+							t.Fatalf("duplicate label %q", r.Label)
+						}
+						labels[r.Label] = true
+						if !strings.HasPrefix(r.Label, rt.Name+"/") || !strings.HasSuffix(r.Label, "/"+p.Label) {
+							t.Fatalf("label %q does not name runtime %q and point %q", r.Label, rt.Name, p.Label)
+						}
+						if r.TxCommitted != threads*txPerThread {
+							t.Fatalf("%s committed %d, want %d", r.Label, r.TxCommitted, threads*txPerThread)
+						}
+						placement := "static"
+						if c.Affinity {
+							placement = "affinity"
+						}
+						if r.Clock != c.Clock.String() || (c.CM != cm.KindDefault && r.CM != c.CM.String()) ||
+							r.Mode != c.Mode.Policy.String() || r.MV != c.MV ||
+							r.Shards != max(c.Shards, 1) || r.Placement != placement {
+							t.Fatalf("%s: row clock=%s cm=%s mode=%s mv=%d shards=%d place=%s does not carry its point's config %+v",
+								r.Label, r.Clock, r.CM, r.Mode, r.MV, r.Shards, r.Placement, c)
+						}
+					}
+				}
+			}
+		})
+	}
+}
 
 func counterWorkload(name string, addr tm.Addr, threads, tasks, txs int) Workload {
 	return Workload{
@@ -89,16 +156,16 @@ func TestRunWTSTMExecutesAllTransactions(t *testing.T) {
 	}
 }
 
-// CompareClocks must cover the full strategy × runtime matrix, commit
+// The clock sweep must cover the full strategy × runtime matrix, commit
 // everything (the sweep invariant-checks its own end state), and show
 // the strategy trade-off in the stats: pre-publishing strategies
 // produce snapshot extensions (or extra aborts on TL2, which cannot
 // extend) where GV4 produces none of either on this disjoint-write
 // workload.
 func TestCompareClocksMatrix(t *testing.T) {
-	rs := CompareClocks(2, 120)
+	rs := sweepNamed(t, "clocks").Run(2, 120)
 	if want := len(clock.Kinds()) * 4; len(rs) != want {
-		t.Fatalf("CompareClocks returned %d results, want %d (%d strategies × 4 runtimes)", len(rs), want, len(clock.Kinds()))
+		t.Fatalf("clock sweep returned %d results, want %d (%d strategies × 4 runtimes)", len(rs), want, len(clock.Kinds()))
 	}
 	labels := map[string]bool{}
 	for _, r := range rs {
@@ -135,16 +202,16 @@ func TestCompareClocksMatrix(t *testing.T) {
 	}
 }
 
-// CompareCM must cover the full policy × runtime matrix, commit
+// The CM sweep must cover the full policy × runtime matrix, commit
 // everything (the sweep invariant-checks its own end state), label each
 // run with its policy, and actually exercise the contention managers:
 // across the sweep, conflicts must have been resolved (decisions or
 // backoff charged) — a sweep with zero CM activity would compare
 // nothing.
 func TestCompareCMMatrix(t *testing.T) {
-	rs := CompareCM(2, 150)
+	rs := sweepNamed(t, "cms").Run(2, 150)
 	if want := len(cm.Kinds()) * 4; len(rs) != want {
-		t.Fatalf("CompareCM returned %d results, want %d (%d policies × 4 runtimes)", len(rs), want, len(cm.Kinds()))
+		t.Fatalf("CM sweep returned %d results, want %d (%d policies × 4 runtimes)", len(rs), want, len(cm.Kinds()))
 	}
 	labels := map[string]bool{}
 	var decisions, spins uint64
@@ -170,15 +237,15 @@ func TestCompareCMMatrix(t *testing.T) {
 	}
 }
 
-// CompareModes must cover the full policy × runtime matrix, commit
+// The mode sweep must cover the full policy × runtime matrix, commit
 // everything (the sweep invariant-checks its own end state), label each
 // run with its mode policy, and the adaptive rows must keep the ladder
 // counters wired through: the per-policy Mode label is what the report
 // keys on.
 func TestCompareModesMatrix(t *testing.T) {
-	rs := CompareModes(2, 150)
+	rs := sweepNamed(t, "modes").Run(2, 150)
 	if want := len(mode.Policies()) * 4; len(rs) != want {
-		t.Fatalf("CompareModes returned %d results, want %d (%d policies × 4 runtimes)", len(rs), want, len(mode.Policies()))
+		t.Fatalf("mode sweep returned %d results, want %d (%d policies × 4 runtimes)", len(rs), want, len(mode.Policies()))
 	}
 	labels := map[string]bool{}
 	for _, r := range rs {
@@ -330,13 +397,13 @@ func TestResultSurfacesSchedulerCounters(t *testing.T) {
 	}
 }
 
-// CompareSched runs the same workload under both spawn policies; both
+// The sched sweep runs the same workload under both spawn policies; both
 // must commit everything, agree on virtual time (the policies charge
 // identical work units), and only the Pooled run may spawn workers.
 func TestCompareSchedPolicies(t *testing.T) {
-	rs := CompareSched(2, 200)
+	rs := sweepNamed(t, "scheds").Run(2, 200)
 	if len(rs) != 2 {
-		t.Fatalf("CompareSched returned %d results", len(rs))
+		t.Fatalf("sched sweep returned %d results", len(rs))
 	}
 	pooled, inline := rs[0], rs[1]
 	if pooled.TxCommitted != 400 || inline.TxCommitted != 400 {
@@ -354,16 +421,16 @@ func TestCompareSchedPolicies(t *testing.T) {
 	}
 }
 
-// CompareMV must cover the depth × runtime × mix matrix, commit
+// The mv sweep must cover the depth × runtime × mix matrix, commit
 // everything (every read-only scan asserts its snapshot's account
 // total in-body, and each run's end state is invariant-checked), and
 // actually engage the wait-free path: depth-0 runs report no mv reads,
 // every positive depth reports some, and read-only transactions on the
 // mv path land in the read-set histogram's zero bucket.
 func TestCompareMVMatrix(t *testing.T) {
-	rs := CompareMV(2, 200)
+	rs := sweepNamed(t, "mvs").Run(2, 200)
 	if want := 2 * 4 * 4; len(rs) != want {
-		t.Fatalf("CompareMV returned %d results, want %d (2 mixes × 4 depths × 4 runtimes)", len(rs), want)
+		t.Fatalf("mv sweep returned %d results, want %d (2 mixes × 4 depths × 4 runtimes)", len(rs), want)
 	}
 	labels := map[string]bool{}
 	var mvReadsOn uint64
@@ -395,13 +462,13 @@ func TestCompareMVMatrix(t *testing.T) {
 	}
 }
 
-// CompareShards must cover the shard-count × placement × mix × runtime
+// The shard sweep must cover the shard-count × placement × mix × runtime
 // matrix, commit everything (each leg's end state is invariant-checked
 // inside the sweep itself), and keep the flat degenerate case clean: at
 // one shard every conflict is by definition in the only (home) shard,
 // so N=1 rows must report zero cross-shard conflicts and zero remaps.
 func TestCompareShardsMatrix(t *testing.T) {
-	rs := CompareShards(2, 120)
+	rs := sweepNamed(t, "shardss").Run(2, 120)
 	legs := 0
 	for _, n := range ShardCounts {
 		legs++
@@ -410,7 +477,7 @@ func TestCompareShardsMatrix(t *testing.T) {
 		}
 	}
 	if want := legs * 2 * 4; len(rs) != want {
-		t.Fatalf("CompareShards returned %d results, want %d (%d legs × 2 mixes × 4 runtimes)", len(rs), want, legs)
+		t.Fatalf("shard sweep returned %d results, want %d (%d legs × 2 mixes × 4 runtimes)", len(rs), want, legs)
 	}
 	labels := map[string]bool{}
 	for _, r := range rs {
@@ -439,20 +506,13 @@ func TestCompareShardsMatrix(t *testing.T) {
 // size where each thread sees several remap windows.
 func TestAffinityReducesCrossShardConflictsHotWord(t *testing.T) {
 	const threads, txPerThread, shards = 6, 600, 4
-	layout := locktable.NewLayout(stm.DefaultLockTableBits, shards)
 	leg := func(affinity bool) Result {
-		rt := stm.New(stm.WithShards(shards), stm.WithAffinity(affinity))
-		base := rt.Direct().Alloc(shardSweepAlloc(threads))
-		hot := hotWordFor(base, layout)
-		counters := base + tm.Addr(shardProbeWords)
-		fillers := counters + tm.Addr(threads)
-		name := "static"
-		if affinity {
-			name = "affinity"
-		}
-		w := shardSweepWorkload(name, hot, counters, fillers, threads, txPerThread)
-		r := RunSTM(rt, w)
-		checkShardSweep(rt.Direct().Load, hot, counters, threads, txPerThread)
+		c := Config{Shards: shards, Affinity: affinity}
+		rt := SwissTM.New(c)
+		w, check := hotWordMix.Setup(rt.Direct, c, threads, txPerThread)
+		w.Name, w.Threads, w.TxPerThread = "hot", threads, txPerThread
+		r := rt.Run(w)
+		check()
 		return r
 	}
 	static := leg(false)

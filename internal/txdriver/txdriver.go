@@ -49,7 +49,8 @@ import (
 	"tlstm/internal/txtrace"
 )
 
-// Work-unit model constants shared by the flat runtimes (DESIGN.md §3).
+// Work-unit model constants shared by the flat runtimes (the
+// virtual-time model: README, "Reproducing the paper's figures").
 const (
 	// YieldQuantum is the forced-interleaving grain: a transaction
 	// yields the processor every YieldQuantum work units, so concurrent

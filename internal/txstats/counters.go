@@ -12,7 +12,8 @@ package txstats
 type Counters struct {
 	// Work is the work in abstract units (one unit ≈ one TM operation or
 	// one validation step) across all attempts, aborted ones included;
-	// the harness turns it into the virtual-time model (DESIGN.md §3).
+	// the harness turns it into the virtual-time model (README,
+	// "Reproducing the paper's figures").
 	Work uint64
 	// SnapshotExtensions counts successful read-version extensions: a
 	// read ran past the snapshot and the read log revalidated forward
