@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"tlstm"
+	"tlstm/internal/cm"
 	"tlstm/internal/core"
 	"tlstm/internal/harness"
 	"tlstm/internal/rbtree"
@@ -354,13 +355,13 @@ func BenchmarkTxCommitWrite(b *testing.B) {
 // contention (paper §3.2 motivates task-awareness with the deadlock
 // example; this measures the throughput side).
 func BenchmarkAblationContentionManager(b *testing.B) {
-	for _, plain := range []bool{false, true} {
-		name := "task-aware"
-		if plain {
-			name = "plain-greedy"
-		}
+	for _, leg := range []struct {
+		name string
+		kind cm.Kind
+	}{{"task-aware", cm.KindTaskAware}, {"plain-greedy", cm.KindGreedy}} {
+		name := leg.name
 		b.Run(name, func(b *testing.B) {
-			rt := core.New(core.Config{SpecDepth: 2, PlainGreedyCM: plain})
+			rt := core.New(core.Config{SpecDepth: 2, CM: cm.New(leg.kind)})
 			d := rt.Direct()
 			const accounts = 8
 			base := d.Alloc(accounts)

@@ -14,6 +14,7 @@ import (
 	"tlstm/internal/tl2"
 	"tlstm/internal/tm"
 	"tlstm/internal/txcheck"
+	"tlstm/internal/txdriver"
 	"tlstm/internal/txtrace"
 	"tlstm/internal/wtstm"
 )
@@ -79,7 +80,7 @@ func snapshot(d tm.Tx, base tm.Addr) [diffWords]uint64 {
 }
 
 func runOnSTM(prog [][]diffOp, kind clock.Kind, pol cm.Kind) [diffWords]uint64 {
-	rt := stm.New(stm.WithClock(clock.New(kind)), stm.WithCM(cm.New(pol)))
+	rt := stm.New(txdriver.WithClock(clock.New(kind)), txdriver.WithCM(cm.New(pol)))
 	base := rt.Direct().Alloc(diffWords)
 	for _, ops := range prog {
 		ops := ops
@@ -93,7 +94,7 @@ func runOnSTM(prog [][]diffOp, kind clock.Kind, pol cm.Kind) [diffWords]uint64 {
 }
 
 func runOnTL2(prog [][]diffOp, kind clock.Kind, pol cm.Kind) [diffWords]uint64 {
-	rt := tl2.New(16, tl2.WithClock(clock.New(kind)), tl2.WithCM(cm.New(pol)))
+	rt := tl2.New(16, txdriver.WithClock(clock.New(kind)), txdriver.WithCM(cm.New(pol)))
 	base := rt.Direct().Alloc(diffWords)
 	for _, ops := range prog {
 		ops := ops
@@ -107,7 +108,7 @@ func runOnTL2(prog [][]diffOp, kind clock.Kind, pol cm.Kind) [diffWords]uint64 {
 }
 
 func runOnWriteThrough(prog [][]diffOp, kind clock.Kind, pol cm.Kind) [diffWords]uint64 {
-	rt := wtstm.New(16, wtstm.WithClock(clock.New(kind)), wtstm.WithCM(cm.New(pol)))
+	rt := wtstm.New(16, txdriver.WithClock(clock.New(kind)), txdriver.WithCM(cm.New(pol)))
 	base := rt.Direct().Alloc(diffWords)
 	for _, ops := range prog {
 		ops := ops
@@ -172,7 +173,7 @@ func runOnTLSTMCfg(prog [][]diffOp, split bool, cfg core.Config) [diffWords]uint
 // served by the wait-free path shows up as a sum divergence.
 
 func runOnSTMMV(prog [][]diffOp) ([diffWords]uint64, []uint64) {
-	rt := stm.New(stm.WithMultiVersion(1))
+	rt := stm.New(txdriver.WithMultiVersion(1))
 	base := rt.Direct().Alloc(diffWords)
 	sums := make([]uint64, len(prog))
 	for i, ops := range prog {
@@ -195,7 +196,7 @@ func runOnSTMMV(prog [][]diffOp) ([diffWords]uint64, []uint64) {
 }
 
 func runOnTL2MV(prog [][]diffOp) ([diffWords]uint64, []uint64) {
-	rt := tl2.New(16, tl2.WithMultiVersion(1))
+	rt := tl2.New(16, txdriver.WithMultiVersion(1))
 	base := rt.Direct().Alloc(diffWords)
 	sums := make([]uint64, len(prog))
 	for i, ops := range prog {
@@ -218,7 +219,7 @@ func runOnTL2MV(prog [][]diffOp) ([diffWords]uint64, []uint64) {
 }
 
 func runOnWriteThroughMV(prog [][]diffOp) ([diffWords]uint64, []uint64) {
-	rt := wtstm.New(16, wtstm.WithMultiVersion(1))
+	rt := wtstm.New(16, txdriver.WithMultiVersion(1))
 	base := rt.Direct().Alloc(diffWords)
 	sums := make([]uint64, len(prog))
 	for i, ops := range prog {
@@ -471,7 +472,7 @@ func TestDifferentialSharding(t *testing.T) {
 				want := runOnSTM(prog, clock.KindGV4, cm.KindDefault)
 
 				{
-					rt := stm.New(stm.WithShards(l.shards), stm.WithAffinity(l.affinity),
+					rt := stm.New(txdriver.WithShards(l.shards), txdriver.WithAffinity(l.affinity),
 						stm.WithPaddedLockTable(l.padded))
 					base := rt.Direct().Alloc(diffWords)
 					for _, ops := range prog {
@@ -487,7 +488,7 @@ func TestDifferentialSharding(t *testing.T) {
 					}
 				}
 				{
-					rt := tl2.New(16, tl2.WithShards(l.shards), tl2.WithAffinity(l.affinity))
+					rt := tl2.New(16, txdriver.WithShards(l.shards), txdriver.WithAffinity(l.affinity))
 					base := rt.Direct().Alloc(diffWords)
 					for _, ops := range prog {
 						ops := ops
@@ -502,7 +503,7 @@ func TestDifferentialSharding(t *testing.T) {
 					}
 				}
 				{
-					rt := wtstm.New(16, wtstm.WithShards(l.shards), wtstm.WithAffinity(l.affinity))
+					rt := wtstm.New(16, txdriver.WithShards(l.shards), txdriver.WithAffinity(l.affinity))
 					base := rt.Direct().Alloc(diffWords)
 					for _, ops := range prog {
 						ops := ops
@@ -591,7 +592,7 @@ func TestDifferentialTracing(t *testing.T) {
 
 		{
 			rec := txtrace.NewRecorder(1 << 10)
-			rt := stm.New(stm.WithTrace(rec))
+			rt := stm.New(txdriver.WithTrace(rec))
 			base := rt.Direct().Alloc(diffWords)
 			for _, ops := range prog {
 				ops := ops
@@ -605,7 +606,7 @@ func TestDifferentialTracing(t *testing.T) {
 		}
 		{
 			rec := txtrace.NewRecorder(1 << 10)
-			rt := tl2.New(16, tl2.WithTrace(rec))
+			rt := tl2.New(16, txdriver.WithTrace(rec))
 			base := rt.Direct().Alloc(diffWords)
 			for _, ops := range prog {
 				ops := ops
@@ -619,7 +620,7 @@ func TestDifferentialTracing(t *testing.T) {
 		}
 		{
 			rec := txtrace.NewRecorder(1 << 10)
-			rt := wtstm.New(16, wtstm.WithTrace(rec))
+			rt := wtstm.New(16, txdriver.WithTrace(rec))
 			base := rt.Direct().Alloc(diffWords)
 			for _, ops := range prog {
 				ops := ops
@@ -715,7 +716,7 @@ func TestDifferentialModeLadder(t *testing.T) {
 
 		{
 			rec := txtrace.NewRecorder(1 << 10)
-			rt := stm.New(stm.WithTrace(rec), stm.WithMode(forced))
+			rt := stm.New(txdriver.WithTrace(rec), txdriver.WithMode(forced))
 			base := rt.Direct().Alloc(diffWords)
 			for _, ops := range prog {
 				ops := ops
@@ -729,7 +730,7 @@ func TestDifferentialModeLadder(t *testing.T) {
 		}
 		{
 			rec := txtrace.NewRecorder(1 << 10)
-			rt := tl2.New(16, tl2.WithTrace(rec), tl2.WithMode(forced))
+			rt := tl2.New(16, txdriver.WithTrace(rec), txdriver.WithMode(forced))
 			base := rt.Direct().Alloc(diffWords)
 			// TL2/write-through hang the ladder controller off the
 			// caller-owned Stats shard; one shard keeps one controller
@@ -747,7 +748,7 @@ func TestDifferentialModeLadder(t *testing.T) {
 		}
 		{
 			rec := txtrace.NewRecorder(1 << 10)
-			rt := wtstm.New(16, wtstm.WithTrace(rec), wtstm.WithMode(forced))
+			rt := wtstm.New(16, txdriver.WithTrace(rec), txdriver.WithMode(forced))
 			base := rt.Direct().Alloc(diffWords)
 			st := &wtstm.Stats{}
 			for _, ops := range prog {

@@ -23,7 +23,6 @@ package core
 
 import (
 	"fmt"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -61,17 +60,9 @@ type Config struct {
 	// PadLockTable spreads lock pairs one per cache line
 	// (locktable.PadStride) to trade memory for false-sharing isolation.
 	PadLockTable bool
-	// PlainGreedyCM disables the task-aware inter-thread contention
-	// policy and falls back to bare two-phase greedy. The paper argues
-	// task-awareness is necessary to avoid inter-thread deadlocks and
-	// favour transactions likely to finish (§3.2); this switch exists
-	// for the ablation benchmark that quantifies it. It is shorthand
-	// for CM: cm.New(cm.KindGreedy) and is ignored when CM is set.
-	PlainGreedyCM bool
 	// CM selects the contention-management policy (internal/cm) that
 	// resolves inter-thread write/write conflicts. nil means the
-	// paper's task-aware policy over two-phase greedy (or bare greedy
-	// under PlainGreedyCM).
+	// paper's task-aware policy over two-phase greedy.
 	CM cm.Policy
 	// Policy selects the scheduler's spawn policy (internal/sched):
 	// sched.Pooled (the zero value, default) dispatches tasks to each
@@ -134,11 +125,7 @@ func (c *Config) fill() {
 		c.Clock = clock.New(clock.KindGV4)
 	}
 	if c.CM == nil {
-		if c.PlainGreedyCM {
-			c.CM = cm.New(cm.KindGreedy)
-		} else {
-			c.CM = cm.New(cm.KindTaskAware)
-		}
+		c.CM = cm.New(cm.KindTaskAware)
 	}
 	c.Mode = c.Mode.Fill()
 }
@@ -225,10 +212,7 @@ func New(cfg Config) *Runtime {
 	if rt.trace != nil {
 		// The offline opacity checker recomputes lock-table slots and
 		// picks its clock model from this metadata (txcheck).
-		rt.trace.SetMeta("core.lockbits", strconv.Itoa(cfg.LockTableBits))
-		rt.trace.SetMeta("core.clock", rt.clk.Name())
-		rt.trace.SetMeta("core.exclusive", strconv.FormatBool(rt.clk.Exclusive()))
-		rt.trace.SetMeta("core.mvdepth", strconv.Itoa(cfg.MVDepth))
+		rt.trace.SetRuntimeMeta("core", cfg.LockTableBits, rt.clk.Name(), rt.clk.Exclusive(), cfg.MVDepth)
 	}
 	return rt
 }

@@ -39,6 +39,7 @@ import (
 	"tlstm/internal/stm"
 	"tlstm/internal/tl2"
 	"tlstm/internal/tm"
+	"tlstm/internal/txdriver"
 	"tlstm/internal/txstats"
 	"tlstm/internal/txtrace"
 	"tlstm/internal/wtstm"
@@ -261,29 +262,29 @@ func RunSTM(rt *stm.Runtime, w Workload) Result {
 // RunTL2 executes the workload on the TL2 baseline, one flat
 // transaction per TxSeq.
 func RunTL2(rt *tl2.Runtime, w Workload) Result {
-	return runThreads(w, rt, func() *tl2.Stats { return new(tl2.Stats) },
-		func(st *tl2.Stats, seq TxSeq, readOnly bool) {
-			atomic := rt.Atomic
-			if readOnly {
-				atomic = rt.AtomicRO
-			}
-			atomic(st, func(tx *tl2.Tx) { seq.run(tx) })
-		},
-		func(r *Result, st *tl2.Stats) { r.fold(st.Commits, st.Aborts, st.Work, st.Counters) })
+	return runFlat(w, rt, rt.Atomic, rt.AtomicRO)
 }
 
 // RunWTSTM executes the workload on the write-through STM, one flat
 // transaction per TxSeq.
 func RunWTSTM(rt *wtstm.Runtime, w Workload) Result {
-	return runThreads(w, rt, func() *wtstm.Stats { return new(wtstm.Stats) },
-		func(st *wtstm.Stats, seq TxSeq, readOnly bool) {
-			atomic := rt.Atomic
+	return runFlat(w, rt, rt.Atomic, rt.AtomicRO)
+}
+
+// runFlat drives w on a runtime without thread descriptors (TL2,
+// wtstm): each thread owns a txdriver.Stats, which is its thread
+// context, and runs each TxSeq as one transaction through atomic, or
+// atomicRO when the workload declares it read-only.
+func runFlat[T tm.Tx](w Workload, rt describer, atomic, atomicRO func(*txdriver.Stats, func(T))) Result {
+	return runThreads(w, rt, func() *txdriver.Stats { return new(txdriver.Stats) },
+		func(st *txdriver.Stats, seq TxSeq, readOnly bool) {
+			run := atomic
 			if readOnly {
-				atomic = rt.AtomicRO
+				run = atomicRO
 			}
-			atomic(st, func(tx *wtstm.Tx) { seq.run(tx) })
+			run(st, func(tx T) { seq.run(tx) })
 		},
-		func(r *Result, st *wtstm.Stats) { r.fold(st.Commits, st.Aborts, st.Work, st.Counters) })
+		func(r *Result, st *txdriver.Stats) { r.fold(st.Commits, st.Aborts, st.Work, st.Counters) })
 }
 
 // RunTLSTM executes the workload over TLSTM: each TxSeq element becomes
@@ -342,6 +343,13 @@ type Config struct {
 	Sched     sched.Policy
 }
 
+// flatOptions is c as the options of the three flat runtimes.
+func (c Config) flatOptions() []txdriver.Option {
+	return []txdriver.Option{txdriver.WithClock(clock.New(c.Clock)), txdriver.WithCM(cm.New(c.CM)),
+		txdriver.WithMultiVersion(c.MV), txdriver.WithTrace(c.Trace),
+		txdriver.WithShards(c.Shards), txdriver.WithAffinity(c.Affinity), txdriver.WithMode(c.Mode)}
+}
+
 // Instance is one runtime built from a Config: its non-transactional
 // view, for setup and end-state checks, and its runner.
 type Instance struct {
@@ -382,21 +390,15 @@ func (r Runtime) New(c Config) Instance {
 // The runtime table: the only place the harness constructs a runtime.
 var (
 	SwissTM = Runtime{"SwissTM", func(c Config) Instance {
-		rt := stm.New(stm.WithClock(clock.New(c.Clock)), stm.WithCM(cm.New(c.CM)),
-			stm.WithMultiVersion(c.MV), stm.WithTrace(c.Trace),
-			stm.WithShards(c.Shards), stm.WithAffinity(c.Affinity), stm.WithMode(c.Mode))
+		rt := stm.New(c.flatOptions()...)
 		return Instance{Direct: rt.Direct(), run: func(w Workload) Result { return RunSTM(rt, w) }}
 	}}
 	TL2 = Runtime{"TL2", func(c Config) Instance {
-		rt := tl2.New(stm.DefaultLockTableBits, tl2.WithClock(clock.New(c.Clock)), tl2.WithCM(cm.New(c.CM)),
-			tl2.WithMultiVersion(c.MV), tl2.WithTrace(c.Trace),
-			tl2.WithShards(c.Shards), tl2.WithAffinity(c.Affinity), tl2.WithMode(c.Mode))
+		rt := tl2.New(stm.DefaultLockTableBits, c.flatOptions()...)
 		return Instance{Direct: rt.Direct(), run: func(w Workload) Result { return RunTL2(rt, w) }}
 	}}
 	WTSTM = Runtime{"wtstm", func(c Config) Instance {
-		rt := wtstm.New(stm.DefaultLockTableBits, wtstm.WithClock(clock.New(c.Clock)), wtstm.WithCM(cm.New(c.CM)),
-			wtstm.WithMultiVersion(c.MV), wtstm.WithTrace(c.Trace),
-			wtstm.WithShards(c.Shards), wtstm.WithAffinity(c.Affinity), wtstm.WithMode(c.Mode))
+		rt := wtstm.New(stm.DefaultLockTableBits, c.flatOptions()...)
 		return Instance{Direct: rt.Direct(), run: func(w Workload) Result { return RunWTSTM(rt, w) }}
 	}}
 	TLSTM = Runtime{"TLSTM", func(c Config) Instance {

@@ -443,3 +443,38 @@ func (t *Table) Padded() bool { return t.stride > 1 }
 
 // Len reports the number of logical lock pairs (used by tests).
 func (t *Table) Len() int { return t.Slots() }
+
+// Versions is an array of anonymous versioned locks — one word per
+// slot holding the version of the slot's last commit, or Locked while a
+// transaction holds it — for the runtimes whose locks carry no owner
+// (TL2, wtstm). It uses Table's Layout, so an address maps to the same
+// slot and shard in both. Embed it by value: For then costs no more
+// than indexing a local slice.
+type Versions struct {
+	words  []atomic.Uint64
+	layout Layout
+}
+
+// NewVersions creates 2^bits versioned locks split into shards
+// contiguous shards.
+func NewVersions(bits, shards int) Versions {
+	l := NewLayout(bits, shards)
+	return Versions{words: make([]atomic.Uint64, l.Slots()), layout: l}
+}
+
+// For returns the versioned lock covering address a.
+func (v *Versions) For(a tm.Addr) *atomic.Uint64 {
+	return &v.words[v.layout.Index(a)]
+}
+
+// ShardOf reports the shard of a lock previously returned by For, by
+// pointer arithmetic within the contiguous array (read-set validation
+// holds only the lock, not the address).
+func (v *Versions) ShardOf(l *atomic.Uint64) int {
+	idx := (uintptr(unsafe.Pointer(l)) - uintptr(unsafe.Pointer(&v.words[0]))) /
+		unsafe.Sizeof(atomic.Uint64{})
+	return v.layout.ShardOfIndex(uint64(idx))
+}
+
+// Shards reports the shard count (1 for an unsharded array).
+func (v *Versions) Shards() int { return v.layout.Shards() }

@@ -5,6 +5,7 @@ import (
 
 	"tlstm/internal/stm"
 	"tlstm/internal/tm"
+	"tlstm/internal/txdriver"
 )
 
 // Allocation-regression benchmarks for the SwissTM hot paths: a warmed
@@ -69,7 +70,7 @@ func BenchmarkWorkerAtomicReadOnly(b *testing.B) {
 // companion zero-alloc assertion.
 func setupMVWorkers(tb testing.TB) (writer, reader *stm.Worker, addrs []tm.Addr) {
 	tb.Helper()
-	rt := stm.New(stm.WithMultiVersion(2))
+	rt := stm.New(txdriver.WithMultiVersion(2))
 	d := rt.Direct()
 	addrs = make([]tm.Addr, benchAddrs)
 	for i := range addrs {

@@ -6,6 +6,7 @@ import (
 
 	"tlstm/internal/clock"
 	"tlstm/internal/tm"
+	"tlstm/internal/txdriver"
 )
 
 // White-box checks of the snapshot rule under each commit-clock
@@ -17,7 +18,7 @@ import (
 // clock stays put, so the next reader MUST extend (and thereby advance
 // the clock) before it can see the value.
 func TestDeferredStampRequiresExtension(t *testing.T) {
-	rt := New(WithClock(clock.New(clock.KindDeferred)))
+	rt := New(txdriver.WithClock(clock.New(clock.KindDeferred)))
 	var a tm.Addr
 	rt.Atomic(nil, func(tx *Tx) { a = tx.Alloc(1) })
 	rt.Atomic(nil, func(tx *Tx) { tx.Store(a, 42) })
@@ -31,8 +32,8 @@ func TestDeferredStampRequiresExtension(t *testing.T) {
 		// The read returned, so the snapshot must now cover the stamp:
 		// the published version is ahead of the begin-time clock and is
 		// only reachable through extendTo/Observe.
-		if tx.validTS <= before && before < tx.rt.clk.Now() {
-			t.Fatalf("validTS did not advance over a pre-published stamp (validTS=%d, clock=%d)", tx.validTS, tx.rt.clk.Now())
+		if tx.validTS <= before && before < tx.rt.Clock.Now() {
+			t.Fatalf("validTS did not advance over a pre-published stamp (validTS=%d, clock=%d)", tx.validTS, tx.rt.Clock.Now())
 		}
 	})
 	if st.SnapshotExtensions == 0 {
@@ -49,7 +50,7 @@ func TestSnapshotNeverCoversFreshStamp(t *testing.T) {
 	for _, kind := range clock.Kinds() {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
-			rt := New(WithClock(clock.New(kind)))
+			rt := New(txdriver.WithClock(clock.New(kind)))
 			d := rt.Direct()
 			a := d.Alloc(1)
 			b := d.Alloc(1)
@@ -70,7 +71,7 @@ func TestSnapshotNeverCoversFreshStamp(t *testing.T) {
 							t.Errorf("recorded version %d above validTS %d", re.Version, tx.validTS)
 						}
 					}
-					if now := rt.clk.Now(); tx.validTS > now {
+					if now := rt.Clock.Now(); tx.validTS > now {
 						t.Errorf("validTS %d ran ahead of the clock %d", tx.validTS, now)
 					}
 				})
@@ -88,7 +89,7 @@ func TestClockStrategiesCounterAtomicity(t *testing.T) {
 	for _, kind := range clock.Kinds() {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
-			rt := New(WithClock(clock.New(kind)))
+			rt := New(txdriver.WithClock(clock.New(kind)))
 			a := rt.Direct().Alloc(1)
 
 			var wg sync.WaitGroup

@@ -6,6 +6,7 @@ import (
 
 	"tlstm/internal/cm"
 	"tlstm/internal/tm"
+	"tlstm/internal/txdriver"
 )
 
 // TestCircularWaitTerminatesPerPolicy is the two-thread circular-wait
@@ -26,7 +27,7 @@ func TestCircularWaitTerminatesPerPolicy(t *testing.T) {
 	for _, kind := range cm.Kinds() {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
-			rt := New(WithCM(cm.New(kind)))
+			rt := New(txdriver.WithCM(cm.New(kind)))
 			d := rt.Direct()
 			a := d.Alloc(2)
 			b := a + 1

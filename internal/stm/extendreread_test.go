@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"tlstm/internal/clock"
+	"tlstm/internal/txdriver"
 )
 
 // hookClock is a GV4 clock whose next Observe first runs a one-shot
@@ -31,7 +32,7 @@ func (c *hookClock) Observe(v uint64, p *clock.Probe) uint64 {
 // running.
 func TestExtensionRereadsTheTriggeringWord(t *testing.T) {
 	clk := &hookClock{Source: clock.New(clock.KindGV4)}
-	rt := New(WithClock(clk))
+	rt := New(txdriver.WithClock(clk))
 	base := rt.Direct().Alloc(2)
 	x, y := base, base+1
 

@@ -6,6 +6,7 @@ import (
 	"tlstm/internal/locktable"
 	"tlstm/internal/tm"
 	"tlstm/internal/txdriver"
+	"tlstm/internal/txtrace"
 )
 
 // White-box tests for SwissTM's validation and locking internals.
@@ -56,7 +57,7 @@ func TestExtendFailsOnOverwrittenRead(t *testing.T) {
 			if tx.extend() {
 				t.Error("extension over an overwritten read must fail")
 			}
-			tx.rollback()
+			tx.abort(txtrace.AbortExtend)
 		}
 	})
 	if attempts != 2 {
@@ -148,7 +149,7 @@ func TestWorkChargesIncludeAbortedAttempts(t *testing.T) {
 		attempts++
 		tx.Load(a)
 		if attempts == 1 {
-			tx.rollback() // simulate a conflict-induced retry
+			tx.abort(txtrace.AbortConflict) // simulate a conflict-induced retry
 		}
 	})
 	if st.Aborts != 1 {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"tlstm/internal/tm"
+	"tlstm/internal/txdriver"
 )
 
 // TestMVReadOnlyLogsNothing pins the "zero validation-loop iterations"
@@ -11,7 +12,7 @@ import (
 // multi-version read-only transaction has an empty read log (there is
 // nothing for validate/extendTo to iterate) and an empty write log.
 func TestMVReadOnlyLogsNothing(t *testing.T) {
-	rt := New(WithMultiVersion(2))
+	rt := New(txdriver.WithMultiVersion(2))
 	d := rt.Direct()
 	base := d.Alloc(4)
 	for i := 0; i < 4; i++ {

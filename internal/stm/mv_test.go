@@ -5,12 +5,13 @@ import (
 
 	"tlstm/internal/stm"
 	"tlstm/internal/tm"
+	"tlstm/internal/txdriver"
 )
 
 // mvSetup allocates n words initialized to init under a multi-version
 // runtime of depth k.
 func mvSetup(k, n int, init uint64) (*stm.Runtime, tm.Addr) {
-	rt := stm.New(stm.WithMultiVersion(k))
+	rt := stm.New(txdriver.WithMultiVersion(k))
 	d := rt.Direct()
 	base := d.Alloc(n)
 	for i := 0; i < n; i++ {

@@ -30,15 +30,15 @@ package stm
 
 import (
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"unsafe"
 
-	"tlstm/internal/clock"
 	"tlstm/internal/cm"
 	"tlstm/internal/locktable"
-	"tlstm/internal/mem"
+	// Imported for the compiler: it inlines mem.Store's LoadWord and
+	// StoreWord (reached through txdriver.Base) only into importers.
+	_ "tlstm/internal/mem"
 	"tlstm/internal/mode"
 	"tlstm/internal/tm"
 	"tlstm/internal/txdriver"
@@ -47,111 +47,31 @@ import (
 	"tlstm/internal/txtrace"
 )
 
-// Option configures a Runtime.
-type Option func(*config)
-
-type config struct {
-	lockTableBits int
-	shards        int
-	affinity      bool
-	padded        bool
-	clk           clock.Source
-	pol           cm.Policy
-	mvDepth       int
-	trace         *txtrace.Recorder
-	mode          mode.Config
-}
-
 // DefaultLockTableBits is the lock-table size (2^bits pairs) used when
 // WithLockTableBits is not given; the other runtimes' constructors and
 // the harness use it as the common geometry.
 const DefaultLockTableBits = 20
 
-// WithLockTableBits sets the lock table to 2^bits pairs.
-func WithLockTableBits(bits int) Option {
-	return func(c *config) { c.lockTableBits = bits }
-}
-
-// WithShards splits the lock table into n contiguous shards (a power of
-// two; 0 and 1 both mean the flat table). Sharding only relabels pairs
-// for conflict attribution and placement — address→pair resolution is
-// identical at every shard count.
-func WithShards(n int) Option {
-	return func(c *config) { c.shards = n }
-}
-
-// WithAffinity replaces the static round-robin thread placement with
-// the conflict-sketch affinity policy (sched.Affinity): workers are
-// periodically rebound toward the shard their aborts concentrate in.
-func WithAffinity(on bool) Option {
-	return func(c *config) { c.affinity = on }
+// WithLockTableBits sets the lock table to 2^bits pairs (0 keeps
+// DefaultLockTableBits).
+func WithLockTableBits(bits int) txdriver.Option {
+	return func(c *txdriver.Config) { c.LockTableBits = bits }
 }
 
 // WithPaddedLockTable strides lock pairs to one per cache line
 // (locktable.Config.Padded): 4x the table memory for zero false
 // sharing between adjacent pairs.
-func WithPaddedLockTable(on bool) Option {
-	return func(c *config) { c.padded = on }
+func WithPaddedLockTable(on bool) txdriver.Option {
+	return func(c *txdriver.Config) { c.PaddedLockTable = on }
 }
 
-// WithClock selects the commit-clock strategy (internal/clock). The
-// default is the GV4 fetch-and-add clock.
-func WithClock(src clock.Source) Option {
-	return func(c *config) { c.clk = src }
-}
-
-// WithCM selects the contention-management policy (internal/cm). The
-// default is SwissTM's two-phase greedy manager; nil keeps it.
-func WithCM(pol cm.Policy) Option {
-	return func(c *config) { c.pol = pol }
-}
-
-// WithMultiVersion retains the last k displaced committed versions per
-// word (txlog.VersionedStore) and enables the wait-free read path for
-// transactions run through AtomicRO. k <= 0 disables multi-versioning
-// (the default).
-func WithMultiVersion(k int) Option {
-	return func(c *config) { c.mvDepth = k }
-}
-
-// WithTrace arms flight-recorder tracing: every Worker records its
-// transactional events into its own txtrace ring registered with rec.
-// nil (the default) keeps the no-op tracer and the zero-alloc hot path.
-func WithTrace(rec *txtrace.Recorder) Option {
-	return func(c *config) { c.trace = rec }
-}
-
-// WithMode configures the execution-mode ladder (internal/mode): each
-// Worker owns a controller that, under mode.Adaptive, falls back from
-// speculation to the runtime's serialized gate when the configured
-// contention thresholds trip, and recovers when the storm passes. The
-// default (mode.Speculative) disarms the ladder entirely.
-func WithMode(cfg mode.Config) Option {
-	return func(c *config) { c.mode = cfg }
-}
-
-// Runtime is one SwissTM instance: a word store, an allocator, a lock
-// table, the global commit clock and a contention manager. Independent
-// Runtimes are fully isolated from each other.
+// Runtime is one SwissTM instance: the flat-runtime shell (word store,
+// allocator, global commit clock, contention manager) and a lock table.
+// Independent Runtimes are fully isolated from each other.
 type Runtime struct {
-	store *mem.Store
-	alloc *mem.Allocator
+	txdriver.Base
+
 	locks *locktable.Table
-
-	clk clock.Source
-
-	// mv, when non-nil, is the multi-version word store declared
-	// read-only transactions read from without validating.
-	mv *txlog.VersionedStore
-
-	// trace, when non-nil, is the flight recorder Workers register
-	// their event rings with (WithTrace).
-	trace *txtrace.Recorder
-
-	// drv is the shared retry-loop driver: contention manager, mode
-	// ladder (serialized-fallback gate, Retry/Wait hub) and the
-	// placement that maps workers to home lock-table shards.
-	drv txdriver.Driver
 
 	// stats aggregates the shards merged by Worker.Close (SNIPPETS-style
 	// per-thread stats: workers accumulate unshared, merge at exit).
@@ -162,86 +82,29 @@ type Runtime struct {
 	workerPool sync.Pool
 }
 
-// New creates a SwissTM runtime.
-func New(opts ...Option) *Runtime {
-	c := config{lockTableBits: DefaultLockTableBits}
-	for _, o := range opts {
-		o(&c)
+// New creates a SwissTM runtime. The options are the shared
+// flat-runtime set (internal/txdriver) plus WithLockTableBits and
+// WithPaddedLockTable; the default contention manager is SwissTM's
+// two-phase greedy.
+func New(opts ...txdriver.Option) *Runtime {
+	c := txdriver.Configure(cm.KindGreedy, opts)
+	if c.LockTableBits == 0 {
+		c.LockTableBits = DefaultLockTableBits
 	}
-	if c.clk == nil {
-		c.clk = clock.New(clock.KindGV4)
-	}
-	if c.pol == nil {
-		c.pol = cm.New(cm.KindGreedy)
-	}
-	st := mem.NewStore()
-	rt := &Runtime{
-		store: st,
-		alloc: mem.NewAllocator(st),
-		locks: locktable.New(locktable.Config{
-			Bits:   c.lockTableBits,
-			Shards: c.shards,
-			Padded: c.padded,
-		}),
-		clk:   c.clk,
-		trace: c.trace,
-	}
-	rt.drv.Init(c.clk, c.pol, c.mode, rt.locks.Shards(), c.affinity)
-	if c.mvDepth > 0 {
-		rt.mv = txlog.NewVersionedStore(c.mvDepth, txlog.DefaultVersionedStoreBits)
-	}
-	if rt.trace != nil {
-		// The opacity checker recomputes lock-table slots and gates its
-		// stamp-uniqueness checks on the clock strategy; the dump's
-		// metadata section is where it learns both.
-		rt.trace.SetMeta("stm.lockbits", strconv.Itoa(c.lockTableBits))
-		rt.trace.SetMeta("stm.clock", rt.clk.Name())
-		rt.trace.SetMeta("stm.exclusive", strconv.FormatBool(rt.clk.Exclusive()))
-		rt.trace.SetMeta("stm.mvdepth", strconv.Itoa(c.mvDepth))
-	}
+	rt := &Runtime{locks: locktable.New(locktable.Config{
+		Bits:   c.LockTableBits,
+		Shards: c.Shards,
+		Padded: c.PaddedLockTable,
+	})}
+	rt.Init("stm", c, c.LockTableBits, rt.locks.Shards())
 	return rt
 }
 
-// Shards reports the lock table's shard count.
-func (rt *Runtime) Shards() int { return rt.locks.Shards() }
-
-// PlacementName reports the thread-placement policy in use.
-func (rt *Runtime) PlacementName() string { return rt.drv.PlacementName() }
-
-// MVDepth reports the retained version depth (0 when multi-versioning
-// is off).
-func (rt *Runtime) MVDepth() int {
-	if rt.mv == nil {
-		return 0
-	}
-	return rt.mv.K()
-}
-
 // CommitTS exposes the current global commit timestamp (for tests).
-func (rt *Runtime) CommitTS() uint64 { return rt.clk.Now() }
-
-// ClockName reports the commit-clock strategy this runtime uses.
-func (rt *Runtime) ClockName() string { return rt.clk.Name() }
-
-// CMName reports the contention-management policy this runtime uses.
-func (rt *Runtime) CMName() string { return rt.drv.CM().Name() }
-
-// Allocator exposes the runtime's allocator for non-transactional setup
-// code (building initial data structures before threads start).
-func (rt *Runtime) Allocator() *mem.Allocator { return rt.alloc }
-
-// Direct returns a non-transactional tm.Tx for single-threaded setup,
-// before any transaction runs.
-func (rt *Runtime) Direct() mem.Direct {
-	return mem.Direct{Mem: rt.store, Al: rt.alloc}
-}
-
-// StoreWordRaw writes a word non-transactionally. It must only be used
-// during single-threaded setup, before transactions run.
-func (rt *Runtime) StoreWordRaw(a tm.Addr, v uint64) { rt.store.StoreWord(a, v) }
+func (rt *Runtime) CommitTS() uint64 { return rt.Clock.Now() }
 
 // LoadWordRaw reads a word non-transactionally (setup/verification only).
-func (rt *Runtime) LoadWordRaw(a tm.Addr) uint64 { return rt.store.LoadWord(a) }
+func (rt *Runtime) LoadWordRaw(a tm.Addr) uint64 { return rt.Mem.LoadWord(a) }
 
 // Stats accumulates per-worker execution statistics across Atomic
 // calls. The baseline recycles write-lock entries unconditionally at
@@ -297,20 +160,16 @@ type Tx struct {
 	writeLog txlog.WriteLog
 	scratch  txlog.CommitScratch
 
-	allocs []tm.Addr // fresh blocks to release on abort
-	frees  []tm.Addr // deferred frees to apply on commit
-
-	// d is the driver's half of the descriptor: attempt bookkeeping,
-	// contention-management identity (its priority slot is the owner
-	// header's greedy CM slot, persisting across retries), clock probe
-	// and tracer.
+	// d is the driver's half of the descriptor: attempt and allocation
+	// bookkeeping, contention-management identity (its priority slot is
+	// the owner header's greedy CM slot, persisting across retries),
+	// clock probe and tracer.
 	d txdriver.Desc
 
-	// ro marks a transaction declared read-only (AtomicRO); mvOn is
-	// true while the current transaction runs the multi-version
-	// wait-free read path. A miss clears mvOn for the rest of the
-	// transaction and re-runs it validated — never an error.
-	ro   bool
+	// mvOn is true while a transaction declared read-only (AtomicRO)
+	// runs the multi-version wait-free read path. A miss clears it for
+	// the rest of the transaction and re-runs it validated — never an
+	// error.
 	mvOn bool
 }
 
@@ -338,7 +197,7 @@ type Worker struct {
 // NewWorker creates a worker context for this runtime.
 func (rt *Runtime) NewWorker() *Worker {
 	w := &Worker{rt: rt}
-	rt.drv.Bind(&w.thr) // placement identities in creation order
+	rt.Drv.Bind(&w.thr) // placement identities in creation order
 	w.tx.rt = rt
 	w.tx.owner = locktable.OwnerRef{
 		ThreadID:      -1,
@@ -348,11 +207,7 @@ func (rt *Runtime) NewWorker() *Worker {
 	// The baseline has no task pipeline and one transaction at a time
 	// per descriptor, so the per-transaction slots are bound once.
 	w.tx.owner.BindTx(0, &w.tx.abortTx, &w.tx.d.GreedTS)
-	tr := txtrace.Nop
-	if rt.trace != nil {
-		tr = rt.trace.NewRing("stm-worker")
-	}
-	w.tx.d.Init(&rt.drv, tr)
+	w.tx.d.Init(&rt.Base, "stm-worker")
 	return w
 }
 
@@ -360,23 +215,18 @@ func (rt *Runtime) NewWorker() *Worker {
 // commits, and accumulates commit/abort counts and work units into the
 // worker's private stats shard. fn must be re-executable: it may run
 // several times and must not perform external side effects.
-func (w *Worker) Atomic(fn func(tx *Tx)) {
-	w.atomic(&w.stats, fn)
-}
+func (w *Worker) Atomic(fn func(tx *Tx)) { w.atomic(&w.stats, fn, false) }
 
 // AtomicRO runs fn as one transaction declared read-only. With
-// multi-versioning enabled (WithMultiVersion), the transaction reads
-// the newest version with timestamp <= its snapshot, appends nothing to
-// the read log, skips validation and extension entirely, and commits
-// unconditionally; a reader overrun by more than K writers falls back
-// to the validated path. If fn stores after all, the transaction
-// silently restarts in validated read-write mode — declaring wrongly
-// costs performance, never correctness.
-func (w *Worker) AtomicRO(fn func(tx *Tx)) {
-	w.tx.ro = true
-	w.atomic(&w.stats, fn)
-	w.tx.ro = false
-}
+// multi-versioning enabled (txdriver.WithMultiVersion), the
+// transaction reads the newest version with timestamp <= its
+// snapshot, appends nothing to the read log, skips validation and
+// extension entirely, and commits unconditionally; a reader overrun
+// by more than K writers falls back to the validated path. If fn
+// stores after all, the transaction silently restarts in validated
+// read-write mode — declaring wrongly costs performance, never
+// correctness.
+func (w *Worker) AtomicRO(fn func(tx *Tx)) { w.atomic(&w.stats, fn, true) }
 
 // Stats returns a snapshot of the worker's unshared shard.
 func (w *Worker) Stats() Stats { return w.stats }
@@ -395,37 +245,30 @@ func (w *Worker) Close() {
 //
 // This entry point borrows a pooled Worker per call; code with a
 // natural per-thread structure should create Workers directly.
-func (rt *Runtime) Atomic(st *Stats, fn func(tx *Tx)) {
-	w, _ := rt.workerPool.Get().(*Worker)
-	if w == nil {
-		w = rt.NewWorker()
-	}
-	w.atomic(st, fn)
-	rt.workerPool.Put(w)
-}
+func (rt *Runtime) Atomic(st *Stats, fn func(tx *Tx)) { rt.pooled(st, fn, false) }
 
 // AtomicRO is Atomic with the transaction declared read-only (see
 // Worker.AtomicRO).
-func (rt *Runtime) AtomicRO(st *Stats, fn func(tx *Tx)) {
+func (rt *Runtime) AtomicRO(st *Stats, fn func(tx *Tx)) { rt.pooled(st, fn, true) }
+
+func (rt *Runtime) pooled(st *Stats, fn func(tx *Tx), ro bool) {
 	w, _ := rt.workerPool.Get().(*Worker)
 	if w == nil {
 		w = rt.NewWorker()
 	}
-	w.tx.ro = true
-	w.atomic(st, fn)
-	w.tx.ro = false
+	w.atomic(st, fn, ro)
 	rt.workerPool.Put(w)
 }
 
-// atomic runs one transaction on the worker, folding its statistics
-// into st — or, for nil, into the worker's own shard, which a pooled
-// worker never reports.
-func (w *Worker) atomic(st *Stats, fn func(tx *Tx)) {
+// atomic runs one transaction, declared read-only when ro, on the
+// worker, folding its statistics into st — or, for nil, into the
+// worker's own shard, which a pooled worker never reports.
+func (w *Worker) atomic(st *Stats, fn func(tx *Tx), ro bool) {
 	if st == nil {
 		st = &w.stats
 	}
 	tx := &w.tx
-	tx.mvOn = tx.ro && tx.rt.mv != nil
+	tx.mvOn = ro && tx.rt.MV != nil
 	tx.d.Begin(&w.thr, &st.Counters)
 	for {
 		tx.beginAttempt(tx.d.Next())
@@ -451,8 +294,6 @@ func (tx *Tx) beginAttempt(ts uint64) {
 	tx.validTS = ts
 	tx.readLog.Reset()
 	tx.writeLog.Recycle()
-	tx.allocs = tx.allocs[:0]
-	tx.frees = tx.frees[:0]
 }
 
 // attempt runs fn once and tries to commit; it reports success and
@@ -465,9 +306,7 @@ func (tx *Tx) attempt(fn func(tx *Tx)) (ok bool) {
 				// speculative allocation so the rest of the system stays
 				// live, then propagate.
 				tx.releaseWrites()
-				for _, a := range tx.allocs {
-					tx.rt.alloc.Free(a)
-				}
+				tx.d.UndoAllocs()
 				panic(r)
 			}
 			ok = false
@@ -478,22 +317,15 @@ func (tx *Tx) attempt(fn func(tx *Tx)) (ok bool) {
 	return true
 }
 
-// rollback releases every lock and undoes speculative allocation, then
-// unwinds to the retry loop.
-func (tx *Tx) rollback() {
-	tx.releaseWrites()
-	for _, a := range tx.allocs {
-		tx.rt.alloc.Free(a)
-	}
-	panic(rollbackSignal{})
-}
-
-// abort records the rollback's reason on the trace and unwinds.
+// abort records the rollback's reason on the trace, releases every
+// lock, undoes speculative allocation and unwinds to the retry loop.
 func (tx *Tx) abort(reason uint32) {
 	if tx.d.Traced {
 		tx.d.Tr.Record(txtrace.KindAbort, tx.validTS, 0, reason)
 	}
-	tx.rollback()
+	tx.releaseWrites()
+	tx.d.UndoAllocs()
+	panic(rollbackSignal{})
 }
 
 func (tx *Tx) releaseWrites() {
@@ -538,7 +370,7 @@ func (tx *Tx) loadCommitted(p *locktable.Pair, a tm.Addr) uint64 {
 			runtime.Gosched()
 			continue
 		}
-		val := tx.rt.store.LoadWord(a)
+		val := tx.rt.Mem.LoadWord(a)
 		if p.R.Load() != v1 {
 			continue // torn read: version moved underneath us
 		}
@@ -575,7 +407,7 @@ func (tx *Tx) loadMV(a tm.Addr) uint64 {
 	for {
 		v1 := p.R.Load()
 		if v1 != locktable.Locked && v1 <= tx.validTS {
-			val := tx.rt.store.LoadWord(a)
+			val := tx.rt.Mem.LoadWord(a)
 			if p.R.Load() == v1 {
 				tx.d.MVReads++
 				if tx.d.Traced {
@@ -585,7 +417,7 @@ func (tx *Tx) loadMV(a tm.Addr) uint64 {
 			}
 			continue // torn read: version moved underneath us
 		}
-		if val, from, ok := tx.rt.mv.ReadAt(a, tx.validTS); ok {
+		if val, from, ok := tx.rt.MV.ReadAt(a, tx.validTS); ok {
 			tx.d.MVReads++
 			if tx.d.Traced {
 				// Clock carries the served version's birth stamp, not the
@@ -615,7 +447,7 @@ func (tx *Tx) extend() bool { return tx.extendTo(0) }
 // without it a deferred or sharded clock would never catch up to the
 // stamp that sent us here and the read would livelock).
 func (tx *Tx) extendTo(witness uint64) bool {
-	ts := tx.rt.clk.Observe(witness, &tx.d.ClkProbe)
+	ts := tx.rt.Clock.Observe(witness, &tx.d.ClkProbe)
 	for i, re := range tx.readLog.Entries() {
 		if i%txdriver.ValidationStride == 0 {
 			tx.d.Work++
@@ -743,24 +575,17 @@ func (tx *Tx) Retry() {
 }
 
 // Alloc implements tm.Tx: allocation is undone if the attempt aborts.
-func (tx *Tx) Alloc(n int) tm.Addr {
-	tx.d.Work++
-	a := tx.rt.alloc.Alloc(n)
-	tx.allocs = append(tx.allocs, a)
-	return a
-}
+func (tx *Tx) Alloc(n int) tm.Addr { return tx.d.Alloc(n) }
 
 // Free implements tm.Tx: the release is deferred to commit.
-func (tx *Tx) Free(a tm.Addr) {
-	tx.frees = append(tx.frees, a)
-}
+func (tx *Tx) Free(a tm.Addr) { tx.d.Free(a) }
 
 // commit validates and publishes the transaction (paper §3.1).
 func (tx *Tx) commit() {
 	if tx.writeLog.Len() == 0 {
 		// Read-only transactions are consistent by construction at
 		// valid-ts; nothing to publish.
-		tx.applyFrees()
+		tx.d.ApplyFrees()
 		if tx.d.Traced {
 			tx.d.Tr.Record(txtrace.KindCommit, tx.validTS, 0, 0)
 		}
@@ -778,7 +603,7 @@ func (tx *Tx) commit() {
 		tx.d.Work++
 	}
 
-	ts := tx.rt.clk.Tick(&tx.d.ClkProbe)
+	ts := tx.rt.Clock.Tick(&tx.d.ClkProbe)
 
 	failed := tx.validateCommit()
 	if tx.d.Traced {
@@ -797,11 +622,11 @@ func (tx *Tx) commit() {
 	// Feed the multi-version store while memory still holds the values
 	// this commit is about to overwrite: each written word's old value
 	// was the committed value over [displaced version, ts).
-	if mv := tx.rt.mv; mv != nil {
+	if mv := tx.rt.MV; mv != nil {
 		for _, e := range tx.writeLog.Entries() {
 			pre, _ := tx.scratch.Saved(e.Pair)
 			for _, w := range e.Words {
-				mv.Publish(w.Addr, tx.rt.store.LoadWord(w.Addr), pre, ts)
+				mv.Publish(w.Addr, tx.rt.Mem.LoadWord(w.Addr), pre, ts)
 			}
 		}
 	}
@@ -809,7 +634,7 @@ func (tx *Tx) commit() {
 	// Phase 2: publish values, then release locks with the new version.
 	for _, e := range tx.writeLog.Entries() {
 		for _, w := range e.Words {
-			tx.rt.store.StoreWord(w.Addr, w.Val)
+			tx.rt.Mem.StoreWord(w.Addr, w.Val)
 			if tx.d.Traced {
 				// Written-word identities, between Validate and Commit:
 				// the opacity checker rebuilds per-slot version
@@ -826,14 +651,14 @@ func (tx *Tx) commit() {
 	// Ring Retry waiters whose read fingerprints intersect this write
 	// set. The fast path (no waiters) is one atomic load; the
 	// fingerprint is only computed when someone is parked.
-	if hub := tx.rt.drv.Hub; hub.Active() {
+	if hub := tx.rt.Drv.Hub; hub.Active() {
 		var fp mode.Fingerprint
 		for _, e := range tx.writeLog.Entries() {
 			fp = mode.FPAdd(fp, uintptr(unsafe.Pointer(e.Pair)))
 		}
 		hub.Notify(fp)
 	}
-	tx.applyFrees()
+	tx.d.ApplyFrees()
 	if tx.d.Traced {
 		tx.d.Tr.Record(txtrace.KindCommit, ts, uint64(tx.writeLog.Len()), 0)
 	}
@@ -861,12 +686,6 @@ func (tx *Tx) validateCommit() *locktable.Pair {
 		return re.Pair
 	}
 	return nil
-}
-
-func (tx *Tx) applyFrees() {
-	for _, a := range tx.frees {
-		tx.rt.alloc.Free(a)
-	}
 }
 
 var _ tm.Tx = (*Tx)(nil)

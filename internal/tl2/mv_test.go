@@ -2,6 +2,8 @@ package tl2
 
 import (
 	"testing"
+
+	"tlstm/internal/txdriver"
 )
 
 // TestAtomicROMVServesDisplacedVersion: a TL2 reader parked across a
@@ -9,7 +11,7 @@ import (
 // ring — where plain TL2 (abort-on-newer-read, no extension) would have
 // aborted — and commits wait-free.
 func TestAtomicROMVServesDisplacedVersion(t *testing.T) {
-	rt := New(16, WithMultiVersion(2))
+	rt := New(16, txdriver.WithMultiVersion(2))
 	d := rt.Direct()
 	base := d.Alloc(2)
 	d.Store(base, 10)
@@ -42,7 +44,7 @@ func TestAtomicROMVServesDisplacedVersion(t *testing.T) {
 // too-new value.
 func TestAtomicROMVRingWraparoundFallsBack(t *testing.T) {
 	const k, total = 2, 1000
-	rt := New(16, WithMultiVersion(k))
+	rt := New(16, txdriver.WithMultiVersion(k))
 	d := rt.Direct()
 	base := d.Alloc(2)
 	d.Store(base, total) // invariant: base + base+1 == total

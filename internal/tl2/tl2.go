@@ -14,7 +14,7 @@
 //     transaction's read version (no timestamp extension), where
 //     SwissTM revalidates and extends its snapshot;
 //   - conflict resolution defaults to pure self-abort with backoff
-//     (the cm.Suicide policy); WithCM swaps in any other
+//     (the cm.Suicide policy); txdriver.WithCM swaps in any other
 //     contention-management strategy — TL2's locks are anonymous
 //     version words, so policies resolve against a nil owner and can
 //     shape only the requester's waiting, aborting and backoff.
@@ -26,221 +26,53 @@ package tl2
 
 import (
 	"runtime"
-	"strconv"
 	"sync"
-	"sync/atomic"
 	"unsafe"
 
-	"tlstm/internal/clock"
 	"tlstm/internal/cm"
 	"tlstm/internal/locktable"
-	"tlstm/internal/mem"
+	// Imported for the compiler: it inlines mem.Store's LoadWord and
+	// StoreWord (reached through txdriver.Base) only into importers.
+	_ "tlstm/internal/mem"
 	"tlstm/internal/mode"
 	"tlstm/internal/tm"
 	"tlstm/internal/txdriver"
 	"tlstm/internal/txlog"
-	"tlstm/internal/txstats"
 	"tlstm/internal/txtrace"
 )
 
-// Locked marks a versioned lock held by a committing transaction.
-const locked = ^uint64(0)
-
-// Option configures a Runtime.
-type Option func(*Runtime)
-
-// WithClock selects the commit-clock strategy (internal/clock); the
-// default is the GV4 fetch-and-add clock. Non-exclusive strategies
-// (deferred, sharded) disable TL2's "wv == rv+1 ⇒ skip validation"
-// commit shortcut, which is only sound when timestamps are unique.
-func WithClock(src clock.Source) Option {
-	return func(rt *Runtime) { rt.clk = src }
-}
-
-// WithCM selects the contention-management policy (internal/cm); the
-// default is cm.Suicide, the self-abort-with-grace behavior TL2 had
-// hardwired before the policy layer existed. nil keeps the default.
-func WithCM(pol cm.Policy) Option {
-	return func(rt *Runtime) { rt.cmPol = pol }
-}
-
-// WithMultiVersion retains the last k displaced committed versions per
-// word and enables the wait-free read path for transactions run through
-// AtomicRO. k <= 0 disables multi-versioning (the default).
-func WithMultiVersion(k int) Option {
-	return func(rt *Runtime) {
-		if k > 0 {
-			rt.mv = txlog.NewVersionedStore(k, txlog.DefaultVersionedStoreBits)
-		}
-	}
-}
-
-// WithTrace arms flight-recorder tracing: every pooled descriptor
-// records its transactional events into its own txtrace ring registered
-// with rec. nil (the default) keeps the no-op tracer.
-func WithTrace(rec *txtrace.Recorder) Option {
-	return func(rt *Runtime) { rt.trace = rec }
-}
-
-// WithShards splits the versioned-lock array into n contiguous shards
-// (a power of two; 0 and 1 both mean flat). Sharding only relabels
-// locks for conflict attribution — address→lock resolution is
-// identical at every shard count.
-func WithShards(n int) Option {
-	return func(rt *Runtime) { rt.shards = n }
-}
-
-// WithAffinity replaces the static round-robin thread placement with
-// the conflict-sketch affinity policy (sched.Affinity).
-func WithAffinity(on bool) Option {
-	return func(rt *Runtime) { rt.affinity = on }
-}
-
-// WithMode configures the execution-mode ladder (internal/mode): the
-// adaptive policy starts transactions speculative and falls back to a
-// serialized global-lock rung under sustained conflict, recovering
-// once the serialized window drains cleanly. The default keeps the
-// ladder disarmed (always speculative).
-func WithMode(cfg mode.Config) Option {
-	return func(rt *Runtime) { rt.modeCfg = cfg }
-}
-
-// Runtime is one TL2 instance.
+// Runtime is one TL2 instance: the flat-runtime shell and an array of
+// versioned write-locks.
 type Runtime struct {
-	store *mem.Store
-	alloc *mem.Allocator
+	txdriver.Base
 
-	clk       clock.Source // global version clock
-	exclusive bool         // cached clk.Exclusive() (commit fast path)
+	locks locktable.Versions // versioned write-locks (version or Locked)
 
-	locks  []atomic.Uint64  // versioned write-locks (version or locked)
-	layout locktable.Layout // address→lock→shard mapping (shared geometry)
-
-	// cmPol, shards, affinity and modeCfg are config captured by options
-	// and handed to the driver.
-	cmPol    cm.Policy
-	shards   int
-	affinity bool
-	modeCfg  mode.Config
-
-	// mv, when non-nil, is the multi-version word store declared
-	// read-only transactions read from without validating.
-	mv *txlog.VersionedStore
-
-	// trace, when non-nil, is the flight recorder pooled descriptors
-	// register their event rings with (WithTrace).
-	trace *txtrace.Recorder
-
-	// drv is the shared retry-loop driver: contention manager, mode
-	// ladder, Retry hub and thread placement.
-	drv txdriver.Driver
-
-	txPool    sync.Pool // *Tx descriptors, reused across Atomic calls
-	statsPool sync.Pool // *Stats thread contexts for Atomic(nil, fn)
+	txPool sync.Pool // *Tx descriptors, reused across Atomic calls
 }
 
-// New creates a TL2 runtime with 2^bits versioned locks.
-func New(bits int, opts ...Option) *Runtime {
+// New creates a TL2 runtime with 2^bits versioned locks (bits <= 0
+// means 20). The options are the shared flat-runtime set
+// (internal/txdriver); the default contention manager is cm.Suicide.
+func New(bits int, opts ...txdriver.Option) *Runtime {
 	if bits <= 0 {
 		bits = 20
 	}
-	st := mem.NewStore()
-	rt := &Runtime{
-		store: st,
-		alloc: mem.NewAllocator(st),
-	}
-	for _, o := range opts {
-		o(rt)
-	}
-	rt.layout = locktable.NewLayout(bits, rt.shards)
-	rt.locks = make([]atomic.Uint64, rt.layout.Slots())
-	if rt.clk == nil {
-		rt.clk = clock.New(clock.KindGV4)
-	}
-	if rt.cmPol == nil {
-		rt.cmPol = cm.New(cm.KindSuicide)
-	}
-	rt.drv.Init(rt.clk, rt.cmPol, rt.modeCfg, rt.layout.Shards(), rt.affinity)
-	rt.exclusive = rt.clk.Exclusive()
-	if rt.trace != nil {
-		// The offline opacity checker recomputes lock-table slots and
-		// picks its clock model from this metadata (txcheck).
-		rt.trace.SetMeta("tl2.lockbits", strconv.Itoa(bits))
-		rt.trace.SetMeta("tl2.clock", rt.clk.Name())
-		rt.trace.SetMeta("tl2.exclusive", strconv.FormatBool(rt.exclusive))
-		mvDepth := 0
-		if rt.mv != nil {
-			mvDepth = rt.mv.K()
-		}
-		rt.trace.SetMeta("tl2.mvdepth", strconv.Itoa(mvDepth))
-	}
+	c := txdriver.Configure(cm.KindSuicide, opts)
+	c.FixedGeometry("tl2")
+	rt := &Runtime{locks: locktable.NewVersions(bits, c.Shards)}
+	rt.Init("tl2", c, bits, rt.locks.Shards())
 	return rt
 }
 
-// Shards reports the lock array's shard count.
-func (rt *Runtime) Shards() int { return rt.layout.Shards() }
-
-// PlacementName reports the thread-placement policy in use.
-func (rt *Runtime) PlacementName() string { return rt.drv.PlacementName() }
-
-// MVDepth reports the retained version depth (0 when multi-versioning
-// is off).
-func (rt *Runtime) MVDepth() int {
-	if rt.mv == nil {
-		return 0
-	}
-	return rt.mv.K()
-}
-
-// ClockName reports the commit-clock strategy this runtime uses.
-func (rt *Runtime) ClockName() string { return rt.clk.Name() }
-
-// CMName reports the contention-management policy this runtime uses.
-func (rt *Runtime) CMName() string { return rt.drv.CM().Name() }
-
-// Direct returns the non-transactional setup handle.
-func (rt *Runtime) Direct() mem.Direct { return mem.Direct{Mem: rt.store, Al: rt.alloc} }
-
-// Allocator exposes the allocator (tests).
-func (rt *Runtime) Allocator() *mem.Allocator { return rt.alloc }
-
-func (rt *Runtime) lockFor(a tm.Addr) *atomic.Uint64 {
-	return &rt.locks[rt.layout.Index(a)]
-}
-
-// lockShard recovers the shard of a lock word previously returned by
-// lockFor, by pointer arithmetic within the contiguous lock array
-// (read-set validation holds only the lock pointer, not the address).
-func (rt *Runtime) lockShard(l *atomic.Uint64) int {
-	idx := (uintptr(unsafe.Pointer(l)) - uintptr(unsafe.Pointer(&rt.locks[0]))) /
-		unsafe.Sizeof(atomic.Uint64{})
-	return rt.layout.ShardOfIndex(uint64(idx))
-}
-
 // Stats accumulates one logical thread's statistics across Atomic
-// calls. SnapshotExtensions is always 0 for TL2 (it aborts on a read
-// past its read version instead of extending), and so are
-// EntryReclaims and HorizonStalls (its write set buffers records in
+// calls, and is the thread: TL2 has no thread descriptor (Tx descriptors
+// are pooled per runtime), so the caller-owned Stats carries the
+// driver's thread context. SnapshotExtensions is always 0 for TL2 (it
+// aborts on a read past its read version instead of extending), and so
+// are EntryReclaims and HorizonStalls (its write set buffers records in
 // place; there are no lock-table entries to reclaim).
-//
-// TL2 has no thread descriptor (Tx descriptors are pooled per runtime,
-// not per caller), so the caller-owned Stats shard IS the logical
-// thread: it carries the driver's thread context — placement identity
-// and mode controller — touched only by the owning goroutine.
-type Stats struct {
-	Commits uint64
-	Aborts  uint64
-	txstats.Counters
-
-	thr txdriver.Thread
-}
-
-// Add folds o's counters into s.
-func (s *Stats) Add(o Stats) {
-	s.Commits += o.Commits
-	s.Aborts += o.Aborts
-	s.Counters.Add(o.Counters)
-}
+type Stats = txdriver.Stats
 
 type rollbackSignal struct{}
 
@@ -258,18 +90,15 @@ type Tx struct {
 	writeSet txlog.WriteSet
 	held     txlog.LockSet // commit-time write locks
 
-	allocs []tm.Addr
-	frees  []tm.Addr
-
-	// d is the driver's half of the descriptor: attempt bookkeeping,
-	// contention-management identity, clock probe and tracer.
+	// d is the driver's half of the descriptor: attempt and allocation
+	// bookkeeping, contention-management identity, clock probe and
+	// tracer.
 	d txdriver.Desc
 
-	// ro marks a transaction declared read-only (AtomicRO); mvOn is
-	// true while it runs the multi-version wait-free read path. A miss
-	// clears mvOn for the rest of the transaction and re-runs it
-	// validated — never an error.
-	ro   bool
+	// mvOn is true while a transaction declared read-only (AtomicRO)
+	// runs the multi-version wait-free read path. A miss clears it for
+	// the rest of the transaction and re-runs it validated — never an
+	// error.
 	mvOn bool
 }
 
@@ -284,11 +113,12 @@ func (rt *Runtime) Atomic(st *Stats, fn func(tx *Tx)) {
 }
 
 // AtomicRO runs fn as one transaction declared read-only. With
-// multi-versioning enabled (WithMultiVersion), the transaction reads
-// the newest version with timestamp <= its snapshot, logs nothing,
-// skips validation, and commits unconditionally; a reader overrun by
-// more than K writers — or an undeclared store — silently re-runs the
-// transaction on the validated path.
+// multi-versioning enabled (txdriver.WithMultiVersion), the
+// transaction reads the newest version with timestamp <= its
+// snapshot, logs nothing, skips validation, and commits
+// unconditionally; a reader overrun by more than K writers — or an
+// undeclared store — silently re-runs the transaction on the
+// validated path.
 func (rt *Runtime) AtomicRO(st *Stats, fn func(tx *Tx)) {
 	rt.run(st, fn, true)
 }
@@ -297,22 +127,11 @@ func (rt *Runtime) run(st *Stats, fn func(tx *Tx), ro bool) {
 	tx, _ := rt.txPool.Get().(*Tx)
 	if tx == nil {
 		tx = &Tx{rt: rt}
-		tr := txtrace.Nop
-		if rt.trace != nil {
-			tr = rt.trace.NewRing("tl2-tx")
-		}
-		tx.d.Init(&rt.drv, tr)
+		tx.d.Init(&rt.Base, "tl2-tx")
 	}
-	scratch := st == nil
-	if scratch {
-		st, _ = rt.statsPool.Get().(*Stats)
-		if st == nil {
-			st = new(Stats)
-		}
-	}
-	tx.ro = ro
-	tx.mvOn = ro && rt.mv != nil
-	tx.d.Begin(&st.thr, &st.Counters)
+	st, borrowed := rt.Borrow(st)
+	tx.mvOn = ro && rt.MV != nil
+	tx.d.Begin(&st.Thread, &st.Counters)
 	for {
 		tx.begin(tx.d.Next())
 		if tx.attempt(fn) {
@@ -323,11 +142,8 @@ func (rt *Runtime) run(st *Stats, fn func(tx *Tx), ro bool) {
 	tx.d.Committed(tx.readLog.Len(), tx.writeSet.Len())
 	st.Commits++
 	st.Aborts += tx.d.Aborts
-	tx.ro = false
 	rt.txPool.Put(tx)
-	if scratch {
-		rt.statsPool.Put(st)
-	}
+	rt.Return(st, borrowed)
 }
 
 // begin resets the descriptor for one attempt at read version rv.
@@ -336,17 +152,13 @@ func (tx *Tx) begin(rv uint64) {
 	tx.readLog.Reset()
 	tx.writeSet.Reset()
 	tx.held.Reset()
-	tx.allocs = tx.allocs[:0]
-	tx.frees = tx.frees[:0]
 }
 
 func (tx *Tx) attempt(fn func(tx *Tx)) (ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, is := r.(rollbackSignal); !is {
-				for _, a := range tx.allocs {
-					tx.rt.alloc.Free(a)
-				}
+				tx.d.UndoAllocs()
 				panic(r)
 			}
 			ok = false
@@ -357,19 +169,14 @@ func (tx *Tx) attempt(fn func(tx *Tx)) (ok bool) {
 	return true
 }
 
-func (tx *Tx) rollback() {
-	for _, a := range tx.allocs {
-		tx.rt.alloc.Free(a)
-	}
-	panic(rollbackSignal{})
-}
-
-// abort records the rollback's reason on the trace and unwinds.
+// abort records the rollback's reason on the trace, undoes speculative
+// allocation and unwinds to the retry loop.
 func (tx *Tx) abort(reason uint32) {
 	if tx.d.Traced {
 		tx.d.Tr.Record(txtrace.KindAbort, tx.rv, 0, reason)
 	}
-	tx.rollback()
+	tx.d.UndoAllocs()
+	panic(rollbackSignal{})
 }
 
 // Load implements tm.Tx: TL2's versioned read with pre/post lock checks.
@@ -381,21 +188,21 @@ func (tx *Tx) Load(a tm.Addr) uint64 {
 	if v, buffered := tx.writeSet.Get(a); buffered {
 		return v
 	}
-	l := tx.rt.lockFor(a)
+	l := tx.rt.locks.For(a)
 	waited := 0
 	for {
 		v1 := l.Load()
-		if v1 == locked {
+		if v1 == locktable.Locked {
 			// Locked by a committing transaction mid-publish: the
 			// policy decides between riding the publish out and
 			// aborting (the Suicide default waits — the hold is short
 			// and the committer is past the point of being aborted).
 			dec := tx.d.Resolve(cm.PointCommit, a, nil, tx.writeSet.Len(), waited, tx.rv)
 			if dec == cm.AbortSelf {
-				tx.d.Defeat(tx.rt.layout.ShardOf(a))
+				tx.d.Defeat(tx.rt.locks.ShardOf(l))
 				tx.abort(txtrace.AbortCM)
 			}
-			if tx.d.YieldToGate(tx.rt.layout.ShardOf(a)) {
+			if tx.d.YieldToGate(tx.rt.locks.ShardOf(l)) {
 				// Riding this conflict out could starve a serialized
 				// entrant; the driver charges SpinInit backoff first.
 				tx.abort(txtrace.AbortCM)
@@ -404,7 +211,7 @@ func (tx *Tx) Load(a tm.Addr) uint64 {
 			runtime.Gosched()
 			continue
 		}
-		val := tx.rt.store.LoadWord(a)
+		val := tx.rt.Mem.LoadWord(a)
 		if l.Load() != v1 {
 			continue
 		}
@@ -413,8 +220,8 @@ func (tx *Tx) Load(a tm.Addr) uint64 {
 			// Fold the stamp into the clock first so the retry's fresh
 			// read version covers it (pre-publishing strategies never
 			// advance on their own).
-			tx.rt.clk.Observe(v1, &tx.d.ClkProbe)
-			tx.d.Conflict(tx.rt.layout.ShardOf(a))
+			tx.rt.Clock.Observe(v1, &tx.d.ClkProbe)
+			tx.d.Conflict(tx.rt.locks.ShardOf(l))
 			tx.abort(txtrace.AbortValidation)
 		}
 		tx.readLog.Append(l)
@@ -434,11 +241,11 @@ func (tx *Tx) Load(a tm.Addr) uint64 {
 // overrun by more than K commits.
 func (tx *Tx) loadMV(a tm.Addr) uint64 {
 	tx.d.Tick(1)
-	l := tx.rt.lockFor(a)
+	l := tx.rt.locks.For(a)
 	for {
 		v1 := l.Load()
-		if v1 != locked && v1 <= tx.rv {
-			val := tx.rt.store.LoadWord(a)
+		if v1 != locktable.Locked && v1 <= tx.rv {
+			val := tx.rt.Mem.LoadWord(a)
 			if l.Load() == v1 {
 				tx.d.MVReads++
 				if tx.d.Traced {
@@ -448,7 +255,7 @@ func (tx *Tx) loadMV(a tm.Addr) uint64 {
 			}
 			continue // torn read: version moved underneath us
 		}
-		if val, from, ok := tx.rt.mv.ReadAt(a, tx.rv); ok {
+		if val, from, ok := tx.rt.MV.ReadAt(a, tx.rv); ok {
 			tx.d.MVReads++
 			if tx.d.Traced {
 				// Clock carries the served version's birth stamp, not the
@@ -457,7 +264,7 @@ func (tx *Tx) loadMV(a tm.Addr) uint64 {
 			}
 			return val
 		}
-		if v1 == locked {
+		if v1 == locktable.Locked {
 			// A committer is publishing this lock; its displaced version
 			// lands in the ring, so wait out the brief hold and retry.
 			runtime.Gosched()
@@ -507,7 +314,7 @@ func (tx *Tx) Retry() {
 	if tx.d.Subscribe(fp) {
 		valid := true
 		for _, l := range tx.readLog.Locks() {
-			if v := l.Load(); v == locked || v > tx.rv {
+			if v := l.Load(); v == locktable.Locked || v > tx.rv {
 				valid = false
 				break
 			}
@@ -517,16 +324,11 @@ func (tx *Tx) Retry() {
 	tx.abort(txtrace.AbortRetry)
 }
 
-// Alloc implements tm.Tx.
-func (tx *Tx) Alloc(n int) tm.Addr {
-	tx.d.Work++
-	a := tx.rt.alloc.Alloc(n)
-	tx.allocs = append(tx.allocs, a)
-	return a
-}
+// Alloc implements tm.Tx: allocation is undone if the attempt aborts.
+func (tx *Tx) Alloc(n int) tm.Addr { return tx.d.Alloc(n) }
 
-// Free implements tm.Tx.
-func (tx *Tx) Free(a tm.Addr) { tx.frees = append(tx.frees, a) }
+// Free implements tm.Tx: the release is deferred to commit.
+func (tx *Tx) Free(a tm.Addr) { tx.d.Free(a) }
 
 // commit is TL2's commit: lock the write set (in address order, to
 // avoid deadlock between committers), bump the clock, validate the read
@@ -534,7 +336,7 @@ func (tx *Tx) Free(a tm.Addr) { tx.frees = append(tx.frees, a) }
 func (tx *Tx) commit() {
 	if tx.writeSet.Len() == 0 {
 		// Read-only: already validated against rv at every read.
-		tx.applyFrees()
+		tx.d.ApplyFrees()
 		if tx.d.Traced {
 			tx.d.Tr.Record(txtrace.KindCommit, tx.rv, 0, 0)
 		}
@@ -542,14 +344,14 @@ func (tx *Tx) commit() {
 	}
 
 	for _, a := range tx.writeSet.SortedAddrs() {
-		l := tx.rt.lockFor(a)
+		l := tx.rt.locks.For(a)
 		if tx.held.Holds(l) {
 			continue
 		}
 		waited := 0
 		for {
 			v := l.Load()
-			if v == locked {
+			if v == locktable.Locked {
 				// A competing committer holds this lock. Address-order
 				// acquisition rules out committer/committer deadlock,
 				// so waiting is safe; whether to wait or abort is the
@@ -558,10 +360,10 @@ func (tx *Tx) commit() {
 				dec := tx.d.Resolve(cm.PointCommit, a, nil, tx.writeSet.Len(), waited, tx.rv)
 				if dec == cm.AbortSelf {
 					tx.held.Restore()
-					tx.d.Defeat(tx.rt.layout.ShardOf(a))
+					tx.d.Defeat(tx.rt.locks.ShardOf(l))
 					tx.abort(txtrace.AbortCM)
 				}
-				if tx.d.YieldToGate(tx.rt.layout.ShardOf(a)) {
+				if tx.d.YieldToGate(tx.rt.locks.ShardOf(l)) {
 					tx.held.Restore()
 					tx.abort(txtrace.AbortCM)
 				}
@@ -572,11 +374,11 @@ func (tx *Tx) commit() {
 			}
 			if v > tx.rv {
 				tx.held.Restore()
-				tx.rt.clk.Observe(v, &tx.d.ClkProbe)
-				tx.d.Conflict(tx.rt.layout.ShardOf(a))
+				tx.rt.Clock.Observe(v, &tx.d.ClkProbe)
+				tx.d.Conflict(tx.rt.locks.ShardOf(l))
 				tx.abort(txtrace.AbortConflict)
 			}
-			if l.CompareAndSwap(v, locked) {
+			if l.CompareAndSwap(v, locktable.Locked) {
 				tx.held.Add(l, v)
 				break
 			}
@@ -584,26 +386,26 @@ func (tx *Tx) commit() {
 		tx.d.Work++
 	}
 
-	wv := tx.rt.clk.Tick(&tx.d.ClkProbe)
+	wv := tx.rt.Clock.Tick(&tx.d.ClkProbe)
 
 	// Validate the read set unless nothing could have changed. The
 	// wv == rv+1 shortcut is sound only when timestamps are exclusive:
 	// a non-exclusive strategy (deferred, sharded) can hand the same wv
 	// to a concurrent writer, so "the clock moved once" no longer means
 	// "only we committed".
-	if !tx.rt.exclusive || wv != tx.rv+1 {
+	if !tx.rt.Exclusive || wv != tx.rv+1 {
 		for i, l := range tx.readLog.Locks() {
 			if i%txdriver.ValidationStride == 0 {
 				tx.d.Work++
 			}
 			v := l.Load()
-			if v == locked {
+			if v == locktable.Locked {
 				if !tx.held.Holds(l) {
 					if tx.d.Traced {
 						tx.d.Tr.Record(txtrace.KindValidate, wv, uint64(tx.readLog.Len()), 0)
 					}
 					tx.held.Restore()
-					tx.d.Conflict(tx.rt.lockShard(l))
+					tx.d.Conflict(tx.rt.locks.ShardOf(l))
 					tx.abort(txtrace.AbortValidation)
 				}
 				continue
@@ -613,8 +415,8 @@ func (tx *Tx) commit() {
 					tx.d.Tr.Record(txtrace.KindValidate, wv, uint64(tx.readLog.Len()), 0)
 				}
 				tx.held.Restore()
-				tx.rt.clk.Observe(v, &tx.d.ClkProbe)
-				tx.d.Conflict(tx.rt.lockShard(l))
+				tx.rt.Clock.Observe(v, &tx.d.ClkProbe)
+				tx.d.Conflict(tx.rt.locks.ShardOf(l))
 				tx.abort(txtrace.AbortValidation)
 			}
 		}
@@ -626,15 +428,15 @@ func (tx *Tx) commit() {
 	// Feed the multi-version store while memory still holds the values
 	// this commit is about to overwrite: each written word's old value
 	// was the committed value over [displaced lock version, wv).
-	if mv := tx.rt.mv; mv != nil {
+	if mv := tx.rt.MV; mv != nil {
 		tx.writeSet.Range(func(a tm.Addr, _ uint64) {
-			pre, _ := tx.held.Displaced(tx.rt.lockFor(a))
-			mv.Publish(a, tx.rt.store.LoadWord(a), pre, wv)
+			pre, _ := tx.held.Displaced(tx.rt.locks.For(a))
+			mv.Publish(a, tx.rt.Mem.LoadWord(a), pre, wv)
 		})
 	}
 
 	tx.writeSet.Range(func(a tm.Addr, v uint64) {
-		tx.rt.store.StoreWord(a, v)
+		tx.rt.Mem.StoreWord(a, v)
 		if tx.d.Traced {
 			tx.d.Tr.Record(txtrace.KindCommitWord, wv, uint64(a), 0)
 		}
@@ -643,21 +445,15 @@ func (tx *Tx) commit() {
 	tx.held.Publish(wv)
 	// Ring Retry waiters whose read fingerprints intersect this write
 	// set; the no-waiter fast path is one atomic load.
-	if hub := tx.rt.drv.Hub; hub.Active() {
+	if hub := tx.rt.Drv.Hub; hub.Active() {
 		var fp mode.Fingerprint
 		tx.writeSet.Range(func(a tm.Addr, _ uint64) {
-			fp = mode.FPAdd(fp, uintptr(unsafe.Pointer(tx.rt.lockFor(a))))
+			fp = mode.FPAdd(fp, uintptr(unsafe.Pointer(tx.rt.locks.For(a))))
 		})
 		hub.Notify(fp)
 	}
-	tx.applyFrees()
+	tx.d.ApplyFrees()
 	if tx.d.Traced {
 		tx.d.Tr.Record(txtrace.KindCommit, wv, uint64(tx.writeSet.Len()), 0)
-	}
-}
-
-func (tx *Tx) applyFrees() {
-	for _, a := range tx.frees {
-		tx.rt.alloc.Free(a)
 	}
 }

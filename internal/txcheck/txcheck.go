@@ -45,7 +45,8 @@
 // Version stamps live on lock-table slots, not addresses: the checker
 // recomputes each address's slot with the same Fibonacci-hash layout
 // the runtime used, taken from the trace metadata ("stm.lockbits", ...)
-// that each runtime registers when tracing is armed. Rings are grouped
+// that each runtime registers through txtrace.SetRuntimeMeta when
+// tracing is armed. Rings are grouped
 // into namespaces by label prefix ("stm-worker" -> "stm",
 // "core-thr0-slot2" -> "core"), so one recorder shared by several
 // runtimes — the differential harness — checks each against its own
@@ -293,19 +294,20 @@ func Check(t *txtrace.Trace) (*Report, error) {
 		}
 		ns := byNS[name]
 		if ns == nil {
-			bitsStr, ok := t.Meta[name+".lockbits"]
+			key := name + "." + txtrace.MetaLockBits
+			bitsStr, ok := t.Meta[key]
 			if !ok {
-				return nil, fmt.Errorf("txcheck: ring %d (%s): no %q metadata in trace (runtime not armed with this recorder?)", rd.ID, rd.Label, name+".lockbits")
+				return nil, fmt.Errorf("txcheck: ring %d (%s): no %q metadata in trace (runtime not armed with this recorder?)", rd.ID, rd.Label, key)
 			}
 			bits, err := strconv.Atoi(bitsStr)
 			if err != nil {
-				return nil, fmt.Errorf("txcheck: bad %s.lockbits %q: %v", name, bitsStr, err)
+				return nil, fmt.Errorf("txcheck: bad %s %q: %v", key, bitsStr, err)
 			}
 			ns = &namespace{
 				name:      name,
 				layout:    locktable.NewLayout(bits, 1),
-				exclusive: t.Meta[name+".exclusive"] == "true",
-				clockName: t.Meta[name+".clock"],
+				exclusive: t.Meta[name+"."+txtrace.MetaExclusive] == "true",
+				clockName: t.Meta[name+"."+txtrace.MetaClock],
 				dropFree:  true,
 				hist:      make(map[uint64][]uint64),
 			}

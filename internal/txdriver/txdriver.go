@@ -1,13 +1,26 @@
-// Package txdriver is the transaction driver of the three flat
-// runtimes — SwissTM (internal/stm), TL2 (internal/tl2) and the
-// write-through STM (internal/wtstm). It owns everything that happens
-// around one attempt, once:
+// Package txdriver is the shell and the transaction driver of the
+// three flat runtimes — SwissTM (internal/stm), TL2 (internal/tl2) and
+// the write-through STM (internal/wtstm). It declares once what the
+// three share outside their protocols:
+//
+//   - the options (Option, Config: clock, contention manager,
+//     multi-versioning, tracing, shards, affinity, mode ladder) — a new
+//     flat-runtime option is declared here, and each runtime supplies
+//     only its default contention manager;
+//   - the Base every Runtime embeds by value: word store, allocator,
+//     clock, multi-version store, recorder, Driver, the self-description
+//     accessors and the pool of Stats contexts Atomic(nil, fn) borrows;
+//   - the Stats thread context of the runtimes without thread
+//     descriptors (TL2, wtstm).
+//
+// Around one attempt, it owns:
 //
 //   - the per-thread context (Thread): the execution-mode controller,
 //     the placement identity and home shard, the remap window;
 //   - the per-transaction bookkeeping embedded in every descriptor
-//     (Desc): attempt and abort counts, the contention-management
-//     identity, the clock probe, the conflict sketch and the tracer;
+//     (Desc): attempt and abort counts, allocations and deferred frees,
+//     the contention-management identity, the clock probe, the conflict
+//     sketch and the tracer;
 //   - the retry-loop decisions: serialized-gate entry and mid-transaction
 //     escalation, the gate-yield backoff, Retry parking, contention
 //     backoff, ladder outcome, and the commit-time fold into
@@ -42,6 +55,7 @@ import (
 	"tlstm/internal/clock"
 	"tlstm/internal/cm"
 	"tlstm/internal/locktable"
+	"tlstm/internal/mem"
 	"tlstm/internal/mode"
 	"tlstm/internal/sched"
 	"tlstm/internal/tm"
@@ -67,7 +81,7 @@ const (
 
 // Driver is one runtime instance's shared driver state: the commit
 // clock (for trace stamps), the contention manager, the mode ladder's
-// gate and Retry hub, and the thread placement.
+// gate and Retry hub, and the thread placement. Base.Init configures it.
 type Driver struct {
 	clk       clock.Source
 	cm        cm.Policy
@@ -80,27 +94,6 @@ type Driver struct {
 	// fingerprint when Hub.Active reports a waiter.
 	Hub *mode.WaitHub
 }
-
-// Init configures d. mc is filled with the ladder defaults; shards is
-// the lock table's shard count, affinity selects sched.Affinity over
-// the static round-robin placement.
-func (d *Driver) Init(clk clock.Source, pol cm.Policy, mc mode.Config, shards int, affinity bool) {
-	d.clk = clk
-	d.cm = pol
-	d.mode = mc.Fill()
-	d.Hub = mode.NewWaitHub()
-	if affinity {
-		d.placement = sched.NewAffinity(shards)
-	} else {
-		d.placement = sched.NewRoundRobin(shards)
-	}
-}
-
-// CM reports the contention-management policy.
-func (d *Driver) CM() cm.Policy { return d.cm }
-
-// PlacementName reports the thread-placement policy in use.
-func (d *Driver) PlacementName() string { return d.placement.Name() }
 
 // Thread is one logical thread's driver context: a stm.Worker, or the
 // caller-owned Stats shard of TL2 and wtstm (which have no thread
@@ -135,6 +128,13 @@ type Desc struct {
 	d   *Driver
 	thr *Thread
 	c   *txstats.Counters
+
+	// al is the runtime's allocator; allocs are the current attempt's
+	// allocations (freed if it aborts) and frees its frees (deferred to
+	// commit).
+	al     *mem.Allocator
+	allocs []tm.Addr
+	frees  []tm.Addr
 
 	// Tr is the descriptor's flight recorder (txtrace.Nop by default);
 	// Traced caches Tr.Enabled() so the disabled hot path costs one
@@ -189,12 +189,18 @@ type Desc struct {
 	crossShard uint64
 }
 
-// Init wires x to its runtime's driver and tracer; call it once, when
-// the descriptor is created. A Desc must not be copied afterwards.
-func (x *Desc) Init(d *Driver, tr txtrace.Tracer) {
-	x.d = d
-	x.Tr = tr
-	x.Traced = tr.Enabled()
+// Init wires x to its runtime's shell: the driver, the allocator and,
+// with a recorder armed, a new event ring labeled label (whose prefix
+// up to the first '-' is the runtime's trace namespace). Call it once,
+// when the descriptor is created; a Desc must not be copied afterwards.
+func (x *Desc) Init(b *Base, label string) {
+	x.d = &b.Drv
+	x.al = b.Al
+	x.Tr = txtrace.Nop
+	if b.Trace != nil {
+		x.Tr = b.Trace.NewRing(label)
+	}
+	x.Traced = x.Tr.Enabled()
 	x.cmSelf.Timestamp = &x.GreedTS
 	x.cmSelf.Probe = &x.cmProbe
 }
@@ -234,6 +240,7 @@ func (x *Desc) Next() uint64 {
 	}
 	x.start = time.Now()
 	x.Work += StartCost
+	x.allocs, x.frees = x.allocs[:0], x.frees[:0]
 	rv := x.d.clk.Now()
 	if x.Traced {
 		x.Tr.Record(txtrace.KindAttemptStart, rv, x.Aborts+1, 0)

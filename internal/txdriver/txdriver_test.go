@@ -3,19 +3,17 @@ package txdriver
 import (
 	"testing"
 
-	"tlstm/internal/clock"
 	"tlstm/internal/cm"
 	"tlstm/internal/mode"
 	"tlstm/internal/txstats"
-	"tlstm/internal/txtrace"
 )
 
 func newDesc(mc mode.Config) (*Driver, *Desc) {
-	d := new(Driver)
-	d.Init(clock.New(clock.KindGV4), cm.New(cm.KindSuicide), mc, 1, false)
+	b := new(Base)
+	b.Init("test", Configure(cm.KindSuicide, []Option{WithMode(mc)}), 4, 1)
 	x := new(Desc)
-	x.Init(d, txtrace.Nop)
-	return d, x
+	x.Init(b, "test")
+	return &b.Drv, x
 }
 
 // TestCommittedFoldsTheTransaction drives one transaction through an

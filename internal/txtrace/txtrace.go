@@ -25,6 +25,7 @@ package txtrace
 import (
 	"fmt"
 	"math/bits"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -328,6 +329,27 @@ func (rec *Recorder) SetMeta(key, value string) {
 		rec.meta = make(map[string]string)
 	}
 	rec.meta[key] = value
+}
+
+// The metadata key suffixes the opacity checker (internal/txcheck)
+// reads: a runtime's keys are "<ns>.<suffix>", ns being the prefix of
+// its ring labels up to the first '-'.
+const (
+	MetaLockBits  = "lockbits"
+	MetaClock     = "clock"
+	MetaExclusive = "exclusive"
+	MetaMVDepth   = "mvdepth"
+)
+
+// SetRuntimeMeta records what the opacity checker needs to reinterpret
+// runtime ns's raw events: its lock-table bits (to recompute slots), its
+// clock strategy and whether that clock hands out exclusive stamps, and
+// its multi-version depth.
+func (rec *Recorder) SetRuntimeMeta(ns string, lockBits int, clockName string, exclusive bool, mvDepth int) {
+	rec.SetMeta(ns+"."+MetaLockBits, strconv.Itoa(lockBits))
+	rec.SetMeta(ns+"."+MetaClock, clockName)
+	rec.SetMeta(ns+"."+MetaExclusive, strconv.FormatBool(exclusive))
+	rec.SetMeta(ns+"."+MetaMVDepth, strconv.Itoa(mvDepth))
 }
 
 // Meta returns a copy of the recorder's metadata table.

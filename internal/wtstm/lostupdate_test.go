@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"tlstm/internal/clock"
+	"tlstm/internal/txdriver"
 )
 
 // hookClock is a GV4 clock whose next Observe first runs a one-shot
@@ -44,7 +45,7 @@ func (c *hookClock) Observe(v uint64, p *clock.Probe) uint64 {
 // the version that was read).
 func TestExtensionRereadsTheTriggeringWord(t *testing.T) {
 	clk := &hookClock{Source: clock.New(clock.KindGV4)}
-	rt := New(14, WithClock(clk))
+	rt := New(14, txdriver.WithClock(clk))
 	x := rt.Direct().Alloc(1)
 	inc := func(tx *Tx) { tx.Store(x, tx.Load(x)+1) }
 

@@ -2,13 +2,15 @@ package wtstm
 
 import (
 	"testing"
+
+	"tlstm/internal/txdriver"
 )
 
 // TestAtomicROMVServesDisplacedVersion: WTSTM writes through in place,
 // so a parked reader can never get the old value from memory — it MUST
 // come from the version ring (published from the undo log at commit).
 func TestAtomicROMVServesDisplacedVersion(t *testing.T) {
-	rt := New(16, WithMultiVersion(2))
+	rt := New(16, txdriver.WithMultiVersion(2))
 	d := rt.Direct()
 	base := d.Alloc(2)
 	d.Store(base, 10)
@@ -38,7 +40,7 @@ func TestAtomicROMVServesDisplacedVersion(t *testing.T) {
 // torn or too-new value.
 func TestAtomicROMVRingWraparoundFallsBack(t *testing.T) {
 	const k, total = 2, 1000
-	rt := New(16, WithMultiVersion(k))
+	rt := New(16, txdriver.WithMultiVersion(k))
 	d := rt.Direct()
 	base := d.Alloc(2)
 	d.Store(base, total) // invariant: base + base+1 == total

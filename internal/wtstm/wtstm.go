@@ -29,225 +29,54 @@ package wtstm
 
 import (
 	"runtime"
-	"strconv"
 	"sync"
-	"sync/atomic"
 	"unsafe"
 
-	"tlstm/internal/clock"
 	"tlstm/internal/cm"
 	"tlstm/internal/locktable"
-	"tlstm/internal/mem"
+	// Imported for the compiler: it inlines mem.Store's LoadWord and
+	// StoreWord (reached through txdriver.Base) only into importers.
+	_ "tlstm/internal/mem"
 	"tlstm/internal/mode"
 	"tlstm/internal/tm"
 	"tlstm/internal/txdriver"
 	"tlstm/internal/txlog"
-	"tlstm/internal/txstats"
 	"tlstm/internal/txtrace"
 )
 
-const locked = ^uint64(0)
-
-// Option configures a Runtime.
-type Option func(*Runtime)
-
-// WithClock selects the commit-clock strategy (internal/clock); the
-// default is the GV4 fetch-and-add clock. Non-exclusive strategies
-// (deferred, sharded) disable the "wv == rv+1 ⇒ skip validation"
-// commit shortcut, which is only sound when timestamps are unique.
-func WithClock(src clock.Source) Option {
-	return func(rt *Runtime) { rt.clk = src }
-}
-
-// WithCM selects the contention-management policy (internal/cm); the
-// default is cm.Suicide — one grace yield, then self-abort — which is
-// the behavior this runtime had hardwired. The write-through locks are
-// anonymous version words held for whole transaction lifetimes, so
-// policies resolve against a nil owner: they shape the requester's
-// waiting, aborting and backoff, and internal/cm bounds any
-// wait-for-the-owner verdict so that two transactions eagerly holding
-// each other's next lock cannot deadlock. nil keeps the default.
-func WithCM(pol cm.Policy) Option {
-	return func(rt *Runtime) { rt.cmPol = pol }
-}
-
-// WithMultiVersion retains the last k displaced committed versions per
-// word and enables the wait-free read path for transactions run through
-// AtomicRO. For a write-through runtime this is the difference between
-// a reader aborting on any eagerly locked word and reading straight
-// past it from the ring. k <= 0 disables multi-versioning (the
-// default).
-func WithMultiVersion(k int) Option {
-	return func(rt *Runtime) {
-		if k > 0 {
-			rt.mv = txlog.NewVersionedStore(k, txlog.DefaultVersionedStoreBits)
-		}
-	}
-}
-
-// WithTrace attaches a flight recorder (internal/txtrace): every pooled
-// descriptor gets its own single-owner event ring and records the
-// transaction lifecycle (begin, attempts, reads, writes, validation,
-// CM decisions, aborts, commits). nil keeps tracing off — the default
-// no-op tracer compiles to a dead branch on the hot paths.
-func WithTrace(rec *txtrace.Recorder) Option {
-	return func(rt *Runtime) { rt.trace = rec }
-}
-
-// WithShards splits the versioned-lock array into n contiguous shards
-// (a power of two; 0 and 1 both mean flat). Sharding only relabels
-// locks for conflict attribution — address→lock resolution is
-// identical at every shard count.
-func WithShards(n int) Option {
-	return func(rt *Runtime) { rt.shards = n }
-}
-
-// WithAffinity replaces the static round-robin thread placement with
-// the conflict-sketch affinity policy (sched.Affinity).
-func WithAffinity(on bool) Option {
-	return func(rt *Runtime) { rt.affinity = on }
-}
-
-// WithMode configures the execution-mode ladder (internal/mode): the
-// adaptive policy starts transactions speculative and falls back to a
-// serialized global-lock rung under sustained conflict, recovering
-// once the serialized window drains cleanly. The default keeps the
-// ladder disarmed (always speculative).
-func WithMode(cfg mode.Config) Option {
-	return func(rt *Runtime) { rt.modeCfg = cfg }
-}
-
-// Runtime is one write-through STM instance.
+// Runtime is one write-through STM instance: the flat-runtime shell
+// and an array of versioned locks.
 type Runtime struct {
-	store *mem.Store
-	alloc *mem.Allocator
+	txdriver.Base
 
-	clk       clock.Source
-	exclusive bool // cached clk.Exclusive() (commit fast path)
+	locks locktable.Versions // versioned locks (version or Locked)
 
-	locks  []atomic.Uint64
-	layout locktable.Layout // address→lock→shard mapping (shared geometry)
-
-	// cmPol, shards, affinity and modeCfg are config captured by options
-	// and handed to the driver.
-	cmPol    cm.Policy
-	shards   int
-	affinity bool
-	modeCfg  mode.Config
-
-	// mv, when non-nil, is the multi-version word store declared
-	// read-only transactions read from without validating.
-	mv *txlog.VersionedStore
-
-	// trace, when non-nil, hands each descriptor a flight-recorder ring.
-	trace *txtrace.Recorder
-
-	// drv is the shared retry-loop driver: contention manager, mode
-	// ladder, Retry hub and thread placement.
-	drv txdriver.Driver
-
-	txPool    sync.Pool // *Tx descriptors, reused across Atomic calls
-	statsPool sync.Pool // *Stats thread contexts for Atomic(nil, fn)
+	txPool sync.Pool // *Tx descriptors, reused across Atomic calls
 }
 
-// New creates a runtime with 2^bits versioned locks.
-func New(bits int, opts ...Option) *Runtime {
+// New creates a runtime with 2^bits versioned locks (bits <= 0 means
+// 20). The options are the shared flat-runtime set (internal/txdriver);
+// the default contention manager is cm.Suicide — one grace yield, then
+// self-abort.
+func New(bits int, opts ...txdriver.Option) *Runtime {
 	if bits <= 0 {
 		bits = 20
 	}
-	st := mem.NewStore()
-	rt := &Runtime{
-		store: st,
-		alloc: mem.NewAllocator(st),
-	}
-	for _, o := range opts {
-		o(rt)
-	}
-	rt.layout = locktable.NewLayout(bits, rt.shards)
-	rt.locks = make([]atomic.Uint64, rt.layout.Slots())
-	if rt.clk == nil {
-		rt.clk = clock.New(clock.KindGV4)
-	}
-	if rt.cmPol == nil {
-		rt.cmPol = cm.New(cm.KindSuicide)
-	}
-	rt.drv.Init(rt.clk, rt.cmPol, rt.modeCfg, rt.layout.Shards(), rt.affinity)
-	rt.exclusive = rt.clk.Exclusive()
-	if rt.trace != nil {
-		// The offline opacity checker recomputes lock-table slots and
-		// picks its clock model from this metadata (txcheck).
-		rt.trace.SetMeta("wtstm.lockbits", strconv.Itoa(bits))
-		rt.trace.SetMeta("wtstm.clock", rt.clk.Name())
-		rt.trace.SetMeta("wtstm.exclusive", strconv.FormatBool(rt.exclusive))
-		rt.trace.SetMeta("wtstm.mvdepth", strconv.Itoa(rt.MVDepth()))
-	}
+	c := txdriver.Configure(cm.KindSuicide, opts)
+	c.FixedGeometry("wtstm")
+	rt := &Runtime{locks: locktable.NewVersions(bits, c.Shards)}
+	rt.Init("wtstm", c, bits, rt.locks.Shards())
 	return rt
 }
 
-// MVDepth reports the retained version depth (0 when multi-versioning
-// is off).
-func (rt *Runtime) MVDepth() int {
-	if rt.mv == nil {
-		return 0
-	}
-	return rt.mv.K()
-}
-
-// ClockName reports the commit-clock strategy this runtime uses.
-func (rt *Runtime) ClockName() string { return rt.clk.Name() }
-
-// CMName reports the contention-management policy this runtime uses.
-func (rt *Runtime) CMName() string { return rt.drv.CM().Name() }
-
-// Direct returns the non-transactional setup handle.
-func (rt *Runtime) Direct() mem.Direct { return mem.Direct{Mem: rt.store, Al: rt.alloc} }
-
-// Allocator exposes the allocator (tests).
-func (rt *Runtime) Allocator() *mem.Allocator { return rt.alloc }
-
-func (rt *Runtime) lockFor(a tm.Addr) *atomic.Uint64 {
-	return &rt.locks[rt.layout.Index(a)]
-}
-
-// lockShard recovers the shard of a lock word previously returned by
-// lockFor, by pointer arithmetic within the contiguous lock array
-// (read-set validation holds only the lock pointer, not the address).
-func (rt *Runtime) lockShard(l *atomic.Uint64) int {
-	idx := (uintptr(unsafe.Pointer(l)) - uintptr(unsafe.Pointer(&rt.locks[0]))) /
-		unsafe.Sizeof(atomic.Uint64{})
-	return rt.layout.ShardOfIndex(uint64(idx))
-}
-
-// Shards reports the lock array's shard count.
-func (rt *Runtime) Shards() int { return rt.layout.Shards() }
-
-// PlacementName reports the thread-placement policy in use.
-func (rt *Runtime) PlacementName() string { return rt.drv.PlacementName() }
-
 // Stats accumulates one logical thread's statistics across Atomic
-// calls. EntryReclaims and HorizonStalls are always 0 here: the
-// write-through STM updates memory in place under versioned locks and
-// keeps an undo log of plain records, so no lock-table entries exist to
-// reclaim.
-//
-// This runtime has no thread descriptor (Tx descriptors are pooled per
-// runtime, not per caller), so the caller-owned Stats shard IS the
-// logical thread: it carries the driver's thread context — placement
-// identity and mode controller — touched only by the owning goroutine.
-type Stats struct {
-	Commits uint64
-	Aborts  uint64
-	txstats.Counters
-
-	thr txdriver.Thread
-}
-
-// Add folds o's counters into s.
-func (s *Stats) Add(o Stats) {
-	s.Commits += o.Commits
-	s.Aborts += o.Aborts
-	s.Counters.Add(o.Counters)
-}
+// calls, and is the thread: this runtime has no thread descriptor (Tx
+// descriptors are pooled per runtime), so the caller-owned Stats
+// carries the driver's thread context. EntryReclaims and HorizonStalls
+// are always 0 here: the write-through STM updates memory in place
+// under versioned locks and keeps an undo log of plain records, so no
+// lock-table entries exist to reclaim.
+type Stats = txdriver.Stats
 
 type rollbackSignal struct{}
 
@@ -262,18 +91,15 @@ type Tx struct {
 	undo    txlog.UndoLog
 	held    txlog.LockSet
 
-	allocs []tm.Addr
-	frees  []tm.Addr
-
-	// d is the driver's half of the descriptor: attempt bookkeeping,
-	// contention-management identity, clock probe and tracer.
+	// d is the driver's half of the descriptor: attempt and allocation
+	// bookkeeping, contention-management identity, clock probe and
+	// tracer.
 	d txdriver.Desc
 
-	// ro marks a transaction declared read-only (AtomicRO); mvOn is
-	// true while it runs the multi-version wait-free read path. A miss
-	// clears mvOn for the rest of the transaction and re-runs it
-	// validated — never an error.
-	ro   bool
+	// mvOn is true while a transaction declared read-only (AtomicRO)
+	// runs the multi-version wait-free read path. A miss clears it for
+	// the rest of the transaction and re-runs it validated — never an
+	// error.
 	mvOn bool
 
 	// mvSeen dedupes undo records per address during the commit-time
@@ -297,11 +123,12 @@ func (rt *Runtime) Atomic(st *Stats, fn func(tx *Tx)) {
 }
 
 // AtomicRO runs fn as one transaction declared read-only. With
-// multi-versioning enabled (WithMultiVersion), the transaction reads
-// the newest version with timestamp <= its snapshot, logs nothing,
-// skips validation, and commits unconditionally; a reader overrun by
-// more than K writers — or an undeclared store — silently re-runs the
-// transaction on the validated path.
+// multi-versioning enabled (txdriver.WithMultiVersion), the
+// transaction reads the newest version with timestamp <= its
+// snapshot, logs nothing, skips validation, and commits
+// unconditionally; a reader overrun by more than K writers — or an
+// undeclared store — silently re-runs the transaction on the
+// validated path.
 func (rt *Runtime) AtomicRO(st *Stats, fn func(tx *Tx)) {
 	rt.run(st, fn, true)
 }
@@ -310,22 +137,11 @@ func (rt *Runtime) run(st *Stats, fn func(tx *Tx), ro bool) {
 	tx, _ := rt.txPool.Get().(*Tx)
 	if tx == nil {
 		tx = &Tx{rt: rt}
-		tr := txtrace.Nop
-		if rt.trace != nil {
-			tr = rt.trace.NewRing("wtstm-tx")
-		}
-		tx.d.Init(&rt.drv, tr)
+		tx.d.Init(&rt.Base, "wtstm-tx")
 	}
-	scratch := st == nil
-	if scratch {
-		st, _ = rt.statsPool.Get().(*Stats)
-		if st == nil {
-			st = new(Stats)
-		}
-	}
-	tx.ro = ro
-	tx.mvOn = ro && rt.mv != nil
-	tx.d.Begin(&st.thr, &st.Counters)
+	st, borrowed := rt.Borrow(st)
+	tx.mvOn = ro && rt.MV != nil
+	tx.d.Begin(&st.Thread, &st.Counters)
 	for {
 		tx.begin(tx.d.Next())
 		if tx.attempt(fn) {
@@ -336,11 +152,8 @@ func (rt *Runtime) run(st *Stats, fn func(tx *Tx), ro bool) {
 	tx.d.Committed(tx.readLog.Len(), tx.lastWrites)
 	st.Commits++
 	st.Aborts += tx.d.Aborts
-	tx.ro = false
 	rt.txPool.Put(tx)
-	if scratch {
-		rt.statsPool.Put(st)
-	}
+	rt.Return(st, borrowed)
 }
 
 // begin resets the descriptor for one attempt at read version rv.
@@ -349,8 +162,6 @@ func (tx *Tx) begin(rv uint64) {
 	tx.readLog.Reset()
 	tx.undo.Reset()
 	tx.held.Reset()
-	tx.allocs = tx.allocs[:0]
-	tx.frees = tx.frees[:0]
 	tx.lastWrites = 0
 }
 
@@ -359,9 +170,7 @@ func (tx *Tx) attempt(fn func(tx *Tx)) (ok bool) {
 		if r := recover(); r != nil {
 			if _, is := r.(rollbackSignal); !is {
 				tx.undoAndRelease()
-				for _, a := range tx.allocs {
-					tx.rt.alloc.Free(a)
-				}
+				tx.d.UndoAllocs()
 				panic(r)
 			}
 			ok = false
@@ -372,22 +181,16 @@ func (tx *Tx) attempt(fn func(tx *Tx)) (ok bool) {
 	return true
 }
 
-// abort records the abort reason on the flight recorder, then rolls
-// back (every rollback site routes through here so traces carry the
-// cause alongside the count).
+// abort records the abort reason on the flight recorder (every
+// rollback site routes through here so traces carry the cause alongside
+// the count), restores in-place writes, undoes speculative allocation
+// and unwinds to the retry loop.
 func (tx *Tx) abort(reason uint32) {
 	if tx.d.Traced {
 		tx.d.Tr.Record(txtrace.KindAbort, tx.rv, 0, reason)
 	}
-	tx.rollback()
-}
-
-// rollback restores in-place writes and unwinds to the retry loop.
-func (tx *Tx) rollback() {
 	tx.undoAndRelease()
-	for _, a := range tx.allocs {
-		tx.rt.alloc.Free(a)
-	}
+	tx.d.UndoAllocs()
 	panic(rollbackSignal{})
 }
 
@@ -396,7 +199,7 @@ func (tx *Tx) rollback() {
 func (tx *Tx) undoAndRelease() {
 	recs := tx.undo.Recs()
 	for i := len(recs) - 1; i >= 0; i-- {
-		tx.rt.store.StoreWord(recs[i].Addr, recs[i].Old)
+		tx.rt.Mem.StoreWord(recs[i].Addr, recs[i].Old)
 		tx.d.Work++
 	}
 	tx.undo.Reset()
@@ -409,15 +212,15 @@ func (tx *Tx) Load(a tm.Addr) uint64 {
 		return tx.loadMV(a)
 	}
 	tx.d.Tick(1)
-	l := tx.rt.lockFor(a)
+	l := tx.rt.locks.For(a)
 	if tx.held.Holds(l) {
 		// We hold the lock: memory already has our in-place value.
-		return tx.rt.store.LoadWord(a)
+		return tx.rt.Mem.LoadWord(a)
 	}
 	waited := 0
 	for {
 		v1 := l.Load()
-		if v1 == locked {
+		if v1 == locktable.Locked {
 			// Uncommitted in-place data from another transaction: a
 			// write-through design cannot read around it. The policy
 			// decides between waiting the owner out and aborting (the
@@ -425,10 +228,10 @@ func (tx *Tx) Load(a tm.Addr) uint64 {
 			// owner holds the lock for its whole lifetime).
 			dec := tx.d.Resolve(cm.PointEncounter, a, nil, tx.held.Len(), waited, tx.rv)
 			if dec == cm.AbortSelf {
-				tx.d.Defeat(tx.rt.layout.ShardOf(a))
+				tx.d.Defeat(tx.rt.locks.ShardOf(l))
 				tx.abort(txtrace.AbortCM)
 			}
-			if tx.d.YieldToGate(tx.rt.layout.ShardOf(a)) {
+			if tx.d.YieldToGate(tx.rt.locks.ShardOf(l)) {
 				tx.abort(txtrace.AbortCM)
 			}
 			waited++
@@ -436,13 +239,13 @@ func (tx *Tx) Load(a tm.Addr) uint64 {
 			runtime.Gosched()
 			continue
 		}
-		val := tx.rt.store.LoadWord(a)
+		val := tx.rt.Mem.LoadWord(a)
 		if l.Load() != v1 {
 			continue
 		}
 		if v1 > tx.rv {
 			if !tx.extendTo(v1) {
-				tx.d.Conflict(tx.rt.layout.ShardOf(a))
+				tx.d.Conflict(tx.rt.locks.ShardOf(l))
 				tx.abort(txtrace.AbortExtend)
 			}
 			// Re-read even though the extension covered v1: val was
@@ -474,11 +277,11 @@ func (tx *Tx) Load(a tm.Addr) uint64 {
 // the lock arbitrarily long, so waiting here is not an option.
 func (tx *Tx) loadMV(a tm.Addr) uint64 {
 	tx.d.Tick(1)
-	l := tx.rt.lockFor(a)
+	l := tx.rt.locks.For(a)
 	for {
 		v1 := l.Load()
-		if v1 != locked && v1 <= tx.rv {
-			val := tx.rt.store.LoadWord(a)
+		if v1 != locktable.Locked && v1 <= tx.rv {
+			val := tx.rt.Mem.LoadWord(a)
 			if l.Load() == v1 {
 				tx.d.MVReads++
 				if tx.d.Traced {
@@ -488,7 +291,7 @@ func (tx *Tx) loadMV(a tm.Addr) uint64 {
 			}
 			continue // torn read: version moved underneath us
 		}
-		if val, from, ok := tx.rt.mv.ReadAt(a, tx.rv); ok {
+		if val, from, ok := tx.rt.MV.ReadAt(a, tx.rv); ok {
 			tx.d.MVReads++
 			if tx.d.Traced {
 				// Clock carries the served version's birth stamp, not the
@@ -508,7 +311,7 @@ func (tx *Tx) loadMV(a tm.Addr) uint64 {
 // advance on Observe; without it the stamp that sent us here would
 // stay forever ahead of rv and the read would livelock).
 func (tx *Tx) extendTo(witness uint64) bool {
-	ts := tx.rt.clk.Observe(witness, &tx.d.ClkProbe)
+	ts := tx.rt.Clock.Observe(witness, &tx.d.ClkProbe)
 	for i, re := range tx.readLog.Entries() {
 		if i%txdriver.ValidationStride == 0 {
 			tx.d.Work++
@@ -554,21 +357,21 @@ func (tx *Tx) Store(a tm.Addr, v uint64) {
 		tx.abort(txtrace.AbortSpec)
 	}
 	tx.d.Tick(2)
-	l := tx.rt.lockFor(a)
+	l := tx.rt.locks.For(a)
 	if !tx.held.Holds(l) {
 		waited := 0
 		for {
 			cur := l.Load()
-			if cur == locked {
+			if cur == locktable.Locked {
 				// Writer/writer conflict against an anonymous eager
 				// lock: the policy decides (Suicide: one grace yield,
 				// then self-abort and retry).
 				dec := tx.d.Resolve(cm.PointEncounter, a, nil, tx.held.Len(), waited, tx.rv)
 				if dec == cm.AbortSelf {
-					tx.d.Defeat(tx.rt.layout.ShardOf(a))
+					tx.d.Defeat(tx.rt.locks.ShardOf(l))
 					tx.abort(txtrace.AbortCM)
 				}
-				if tx.d.YieldToGate(tx.rt.layout.ShardOf(a)) {
+				if tx.d.YieldToGate(tx.rt.locks.ShardOf(l)) {
 					tx.abort(txtrace.AbortCM)
 				}
 				waited++
@@ -577,20 +380,20 @@ func (tx *Tx) Store(a tm.Addr, v uint64) {
 				continue
 			}
 			if cur > tx.rv && !tx.extendTo(cur) {
-				tx.d.Conflict(tx.rt.layout.ShardOf(a))
+				tx.d.Conflict(tx.rt.locks.ShardOf(l))
 				tx.abort(txtrace.AbortExtend)
 			}
 			if cur > tx.rv {
 				continue
 			}
-			if l.CompareAndSwap(cur, locked) {
+			if l.CompareAndSwap(cur, locktable.Locked) {
 				tx.held.Add(l, cur)
 				break
 			}
 		}
 	}
-	tx.undo.Append(a, tx.rt.store.LoadWord(a))
-	tx.rt.store.StoreWord(a, v)
+	tx.undo.Append(a, tx.rt.Mem.LoadWord(a))
+	tx.rt.Mem.StoreWord(a, v)
 	if tx.d.Traced {
 		tx.d.Tr.Record(txtrace.KindWrite, tx.rv, uint64(a), 0)
 	}
@@ -628,28 +431,23 @@ func (tx *Tx) Retry() {
 	tx.abort(txtrace.AbortRetry)
 }
 
-// Alloc implements tm.Tx.
-func (tx *Tx) Alloc(n int) tm.Addr {
-	tx.d.Work++
-	a := tx.rt.alloc.Alloc(n)
-	tx.allocs = append(tx.allocs, a)
-	return a
-}
+// Alloc implements tm.Tx: allocation is undone if the attempt aborts.
+func (tx *Tx) Alloc(n int) tm.Addr { return tx.d.Alloc(n) }
 
-// Free implements tm.Tx.
-func (tx *Tx) Free(a tm.Addr) { tx.frees = append(tx.frees, a) }
+// Free implements tm.Tx: the release is deferred to commit.
+func (tx *Tx) Free(a tm.Addr) { tx.d.Free(a) }
 
 // commit validates reads, then publishes by releasing locks at the new
 // version — the in-place values are already in memory (no copy-back).
 func (tx *Tx) commit() {
 	if tx.held.Len() == 0 {
-		tx.applyFrees()
+		tx.d.ApplyFrees()
 		if tx.d.Traced {
 			tx.d.Tr.Record(txtrace.KindCommit, tx.rv, 0, 0)
 		}
 		return
 	}
-	wv := tx.rt.clk.Tick(&tx.d.ClkProbe)
+	wv := tx.rt.Clock.Tick(&tx.d.ClkProbe)
 	// The wv == rv+1 validation skip, with rv possibly advanced by
 	// extendTo. Every logged read is consistent at rv: a read is logged
 	// only at a version <= rv observed after rv was sampled (Load
@@ -661,7 +459,7 @@ func (tx *Tx) commit() {
 	// ticked since rv was sampled, so every later committer serializes
 	// after this one. Non-exclusive clocks hand out shared stamps and
 	// always validate.
-	if !tx.rt.exclusive || wv != tx.rv+1 {
+	if !tx.rt.Exclusive || wv != tx.rv+1 {
 		for i, re := range tx.readLog.Entries() {
 			if i%txdriver.ValidationStride == 0 {
 				tx.d.Work++
@@ -670,7 +468,7 @@ func (tx *Tx) commit() {
 				if tx.d.Traced {
 					tx.d.Tr.Record(txtrace.KindValidate, wv, uint64(tx.readLog.Len()), 0)
 				}
-				tx.d.Conflict(tx.rt.lockShard(re.Lock))
+				tx.d.Conflict(tx.rt.locks.ShardOf(re.Lock))
 				tx.abort(txtrace.AbortValidation)
 			}
 		}
@@ -683,7 +481,7 @@ func (tx *Tx) commit() {
 	// memory already holds this transaction's in-place values, so the
 	// displaced committed value of each written word lives in its first
 	// undo record, valid over [displaced lock version, wv).
-	if mv := tx.rt.mv; mv != nil {
+	if mv := tx.rt.MV; mv != nil {
 		tx.publishVersions(wv)
 	}
 	if tx.d.Traced {
@@ -701,18 +499,18 @@ func (tx *Tx) commit() {
 	// validation sees the published versions). The no-waiter fast path
 	// is one atomic load; bloom repeats per address are idempotent.
 	var notifyFP mode.Fingerprint
-	if hub := tx.rt.drv.Hub; hub.Active() {
+	if hub := tx.rt.Drv.Hub; hub.Active() {
 		for _, rec := range tx.undo.Recs() {
-			notifyFP = mode.FPAdd(notifyFP, uintptr(unsafe.Pointer(tx.rt.lockFor(rec.Addr))))
+			notifyFP = mode.FPAdd(notifyFP, uintptr(unsafe.Pointer(tx.rt.locks.For(rec.Addr))))
 		}
 	}
 	tx.lastWrites = tx.held.Len()
 	tx.undo.Reset()
 	tx.held.Publish(wv)
 	if notifyFP != 0 {
-		tx.rt.drv.Hub.Notify(notifyFP)
+		tx.rt.Drv.Hub.Notify(notifyFP)
 	}
-	tx.applyFrees()
+	tx.d.ApplyFrees()
 	if tx.d.Traced {
 		tx.d.Tr.Record(txtrace.KindCommit, wv, uint64(tx.lastWrites), 0)
 	}
@@ -730,14 +528,8 @@ func (tx *Tx) publishVersions(wv uint64) {
 			continue
 		}
 		tx.mvSeen[rec.Addr] = struct{}{}
-		pre, _ := tx.held.Displaced(tx.rt.lockFor(rec.Addr))
-		tx.rt.mv.Publish(rec.Addr, rec.Old, pre, wv)
+		pre, _ := tx.held.Displaced(tx.rt.locks.For(rec.Addr))
+		tx.rt.MV.Publish(rec.Addr, rec.Old, pre, wv)
 	}
 	clear(tx.mvSeen)
-}
-
-func (tx *Tx) applyFrees() {
-	for _, a := range tx.frees {
-		tx.rt.alloc.Free(a)
-	}
 }

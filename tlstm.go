@@ -76,6 +76,7 @@ import (
 	"tlstm/internal/tm"
 	"tlstm/internal/tmhash"
 	"tlstm/internal/tmlist"
+	"tlstm/internal/txdriver"
 )
 
 // Core model types.
@@ -239,14 +240,14 @@ func NewBaseline() *BaselineRuntime { return stm.New() }
 // NewBaselineWithClock creates a SwissTM runtime on the given
 // commit-clock strategy (see NewClock).
 func NewBaselineWithClock(src ClockSource) *BaselineRuntime {
-	return stm.New(stm.WithClock(src))
+	return stm.New(txdriver.WithClock(src))
 }
 
 // NewBaselineWithCM creates a SwissTM runtime on the given
 // contention-management policy (see NewCM; nil keeps the two-phase
 // greedy default).
 func NewBaselineWithCM(pol CMPolicy) *BaselineRuntime {
-	return stm.New(stm.WithCM(pol))
+	return stm.New(txdriver.WithCM(pol))
 }
 
 // Loop decomposition (paper §3.3 — spec-DOALL and spec-DOACROSS) is
